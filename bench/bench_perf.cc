@@ -415,10 +415,11 @@ BENCHMARK(BM_SvcThroughput)->Unit(benchmark::kMillisecond);
 // Closed-loop scenario engine: one DTM run of Arg(0) steps over the
 // cached canonical plant. Items = integration steps/s; the plant build
 // (netlist + STA + grid solve) happens once outside the timed loop, so
-// this times the per-step feedback arithmetic and check evaluation.
-void BM_Scenario(benchmark::State& state) {
+// this times the per-step feedback arithmetic and check evaluation. The
+// per-step time is flat in the run length (2k vs 20k steps).
+void runScenarioBench(benchmark::State& state) {
   scenario::ScenarioSpec spec;
-  spec.steps = state.range(0);
+  spec.steps = static_cast<int>(state.range(0));
   spec.traceStride = 1000;
   scenario::ScenarioSetup setup = scenario::makeScenario(spec);
   long checks = 0;
@@ -431,7 +432,41 @@ void BM_Scenario(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["checks_per_run"] = static_cast<double>(checks);
 }
+
+void BM_Scenario(benchmark::State& state) { runScenarioBench(state); }
 BENCHMARK(BM_Scenario)->Arg(2000)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+// The same runs with observability on, as `nanod --metrics` serves them.
+void BM_ScenarioObsOn(benchmark::State& state) {
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  runScenarioBench(state);
+  obs::setEnabled(wasEnabled);
+}
+BENCHMARK(BM_ScenarioObsOn)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
+// The `sta` request's netlist generator: a seeded scale-profile
+// pipelinedLogic netlist of Arg(0) gates. The library is characterized
+// once outside the timed loop, so this times cell picks and netlist
+// construction. Items = gates/s.
+void BM_PipelinedLogic(benchmark::State& state) {
+  const circuit::Library& library = lib100();
+  const circuit::GeneratorConfig cfg =
+      circuit::scaledConfig(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    util::Rng rng(1);
+    benchmark::DoNotOptimize(circuit::pipelinedLogic(library, cfg, rng, 8));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PipelinedLogic)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TransientSim(benchmark::State& state) {
   const auto& node = tech::nodeByFeature(100);

@@ -7,6 +7,20 @@
 namespace nano::circuit {
 
 namespace {
+constexpr std::size_t kFunctionCount =
+    static_cast<std::size_t>(CellFunction::LevelConverter) + 1;
+
+/// Slot of a (function, vth, domain) corner in Library::cornerCells_; enum
+/// values outside their declared ranges map to the last slot, which stays
+/// empty.
+std::size_t cornerSlot(CellFunction function, VthClass vth, VddDomain domain) {
+  const auto fn = static_cast<std::size_t>(function);
+  const auto v = static_cast<std::size_t>(vth);
+  const auto d = static_cast<std::size_t>(domain);
+  if (fn >= kFunctionCount || v > 1 || d > 1) return kFunctionCount * 4;
+  return (fn * 2 + v) * 2 + d;
+}
+
 CellCharacterizer makeCharacterizer(const tech::TechNode& node,
                                     const LibraryConfig& config,
                                     double temperature) {
@@ -38,14 +52,20 @@ Library::Library(const tech::TechNode& node, LibraryConfig config,
       }
     }
   }
+  cornerCells_.resize(kFunctionCount * 4 + 1);  // + the empty invalid slot
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const Cell& c = cells_[i];
+    cornerCells_[cornerSlot(c.function, c.vth, c.vddDomain)].push_back(
+        static_cast<std::uint32_t>(i));
+  }
 }
 
 const Cell& Library::pick(CellFunction function, double minDrive, VthClass vth,
                           VddDomain domain) const {
   const Cell* best = nullptr;     // smallest with drive >= minDrive
   const Cell* largest = nullptr;  // fallback
-  for (const Cell& c : cells_) {
-    if (c.function != function || c.vth != vth || c.vddDomain != domain) continue;
+  for (std::uint32_t i : cornerCells_[cornerSlot(function, vth, domain)]) {
+    const Cell& c = cells_[i];
     if (!largest || c.drive > largest->drive) largest = &c;
     if (c.drive >= minDrive && (!best || c.drive < best->drive)) best = &c;
   }

@@ -4,6 +4,7 @@
 // layered on top of the discrete library.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -63,6 +64,9 @@ class Library {
   CellCharacterizer charzr_;
   LibraryConfig config_;
   std::vector<Cell> cells_;
+  /// Per corner, the indices of its cells in cells_ order, so pick()
+  /// scans one corner rather than the whole library.
+  std::vector<std::vector<std::uint32_t>> cornerCells_;
 };
 
 }  // namespace nano::circuit

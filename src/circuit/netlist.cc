@@ -16,6 +16,7 @@ void Netlist::reserve(int nodes) {
   if (nodes <= 0) return;
   nodes_.reserve(static_cast<std::size_t>(nodes));
   loadCap_.reserve(static_cast<std::size_t>(nodes));
+  fanoutCap_.reserve(static_cast<std::size_t>(nodes));
 }
 
 int Netlist::addInput() {
@@ -23,6 +24,7 @@ int Netlist::addInput() {
   n.kind = NodeKind::PrimaryInput;
   nodes_.push_back(std::move(n));
   loadCap_.push_back(0.0);  // no fanouts yet
+  fanoutCap_.push_back(0.0);
   ++inputCount_;
   return nodeCount() - 1;
 }
@@ -41,9 +43,13 @@ int Netlist::addGate(Cell cell, std::vector<int> fanins) {
   n.fanins = std::move(fanins);
   nodes_.push_back(std::move(n));
   loadCap_.push_back(0.0);  // no fanouts yet
+  fanoutCap_.push_back(0.0);
+  const double inputCap = nodes_.back().cell.inputCap;
   for (int f : nodes_.back().fanins) {
+    // This gate's input cap now loads each fanin: one more fold term.
     nodes_[static_cast<std::size_t>(f)].fanouts.push_back(id);
-    refreshLoadCap(f);  // this gate's input cap now loads each fanin
+    fanoutCap_[static_cast<std::size_t>(f)] += inputCap;
+    storeLoadCap(f);
   }
   ++gateCount_;
   return id;
@@ -73,11 +79,17 @@ void Netlist::replaceCell(int id, Cell cell) {
 }
 
 void Netlist::refreshLoadCap(int id) {
-  const Node& n = node(id);
   double cap = 0.0;
-  for (int fo : n.fanouts) {
+  for (int fo : node(id).fanouts) {
     cap += node(fo).cell.inputCap;
   }
+  fanoutCap_[static_cast<std::size_t>(id)] = cap;
+  storeLoadCap(id);
+}
+
+void Netlist::storeLoadCap(int id) {
+  const Node& n = node(id);
+  double cap = fanoutCap_[static_cast<std::size_t>(id)];
   cap += wireCapPerFanout_ * static_cast<double>(n.fanouts.size());
   if (n.isOutput) cap += outputLoadCap_;
   loadCap_[static_cast<std::size_t>(id)] = cap;

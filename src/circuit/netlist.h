@@ -76,13 +76,18 @@ class Netlist {
   [[nodiscard]] std::vector<int> vddViolations() const;
 
  private:
-  /// Recompute the cached load of `id` from its fanouts (same summation
+  /// Recompute the fanout-cap sum of `id` from its fanouts (same summation
   /// order as the uncached historical implementation, so values are
-  /// bit-identical).
+  /// bit-identical), then its cached load.
   void refreshLoadCap(int id);
+  /// Cached load of `id` from its current fanout-cap sum.
+  void storeLoadCap(int id);
 
   std::vector<Node> nodes_;
   std::vector<double> loadCap_;  ///< per-node cache, always valid
+  /// Per node, the left-fold sum of its fanouts' input caps in fanout
+  /// order: addGate extends it by one term instead of re-summing.
+  std::vector<double> fanoutCap_;
   std::vector<int> outputs_;
   double wireCapPerFanout_;
   double outputLoadCap_;

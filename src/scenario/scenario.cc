@@ -72,11 +72,11 @@ ScenarioResult runScenario(const Plant& plant, Policy& policy,
   double demandedWork = 0.0;
   double deliveredWork = 0.0;
   long integrated = 0;
+  thermal::PowerTrace::Cursor workload(config.workload);
 
   for (long step = 0; step < steps; ++step) {
     const double t = static_cast<double>(step) * config.dt;
-    const double demand =
-        std::clamp(config.workload.at(t), 0.0, 1.0);
+    const double demand = std::clamp(workload.at(t), 0.0, 1.0);
 
     PolicyObservation obs;
     obs.timeS = t;
@@ -142,10 +142,6 @@ ScenarioResult runScenario(const Plant& plant, Policy& policy,
     check(CheckKind::TimingSlack, slack < config.limits.minSlackS, slack,
           config.limits.minSlackS);
 
-    NANO_OBS_GAUGE("scenario/temperature_k", temperature);
-    NANO_OBS_GAUGE("scenario/ir_drop_fraction", irDrop);
-    NANO_OBS_GAUGE("scenario/slack_ps", slack * 1e12);
-
     // Accounting.
     ++integrated;
     tempSum += temperature;
@@ -176,6 +172,11 @@ ScenarioResult runScenario(const Plant& plant, Policy& policy,
 
     if (config.failFast && result.violationCount > 0) break;
   }
+
+  // The sensor gauges hold the last integrated step's state.
+  NANO_OBS_GAUGE("scenario/temperature_k", temperature);
+  NANO_OBS_GAUGE("scenario/ir_drop_fraction", irDrop);
+  NANO_OBS_GAUGE("scenario/slack_ps", slack * 1e12);
 
   result.steps = integrated;
   result.ok = result.violationCount == 0;

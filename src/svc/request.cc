@@ -347,6 +347,11 @@ void validateParams(const ScenarioParams& p) {
   if (!(p.dtUs > 0.0) || !std::isfinite(p.dtUs)) {
     rejectParam("\"dt_us\" must be a positive finite number");
   }
+  // Workload traces hold a phase per ~2 ms of simulated time, so memory
+  // follows steps x dt_us, which the steps guard alone does not bound.
+  if (static_cast<double>(p.steps) * p.dtUs > kMaxScenarioSimulatedUs) {
+    rejectParam("\"steps\" x \"dt_us\" must be <= 1e7 (10 s simulated)");
+  }
   if (p.gates < 64 || p.gates > 200000) {
     rejectParam("\"gates\" must be in [64, 200000]");
   }

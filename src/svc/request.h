@@ -127,6 +127,11 @@ struct StaParams {
   /// Pipeline blocks of the generated slice (depth spread).
   int blocks = 8;
 };
+/// Largest accepted scenario length, steps x dt_us (10 s of simulated
+/// time: 200,000 steps at the canonical 50 us). The dtm workload draws a
+/// phase per ~2 ms simulated, so this bounds a request's trace memory.
+inline constexpr double kMaxScenarioSimulatedUs = 1e7;
+
 struct ScenarioParams {
   int nodeNm = 35;
   /// Canonical scenario: "dtm" | "dvfs" | "wakeup" (workload + packaging).
@@ -135,7 +140,8 @@ struct ScenarioParams {
   /// | "explore".
   std::string policy;
   /// Integration steps (1 .. 200,000 — the guard keeps one request from
-  /// occupying an evaluation lane for minutes) of `dt_us` each.
+  /// occupying an evaluation lane for minutes) of `dt_us` each, with
+  /// steps x dt_us <= kMaxScenarioSimulatedUs.
   int steps = 2000;
   double dtUs = 50.0;
   /// Generated design slice sizing the plant's timing substrate.

@@ -35,6 +35,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
   double cycleSum = 0.0;
   double throttledTime = 0.0;
   long steps = 0;
+  PowerTrace::Cursor demand(trace);
 
   for (double t = 0.0; t < duration; t += dt, ++steps) {
     // Sensor comparison (with hysteresis); actuation after sensorDelay.
@@ -54,7 +55,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
       pendingChangeAt = -1.0;
     }
 
-    const double demandFraction = trace.at(t);
+    const double demandFraction = demand.at(t);
     const double powerFactor = throttled ? throttledPowerFactor : 1.0;
     const double power = demandFraction * worstCasePower * powerFactor;
 

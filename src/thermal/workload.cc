@@ -11,15 +11,19 @@ double PowerTrace::totalDuration() const {
   return sum;
 }
 
-double PowerTrace::at(double t) const {
-  if (phases.empty()) throw std::logic_error("PowerTrace::at: empty trace");
-  double acc = 0.0;
-  for (const auto& p : phases) {
-    acc += p.duration;
-    if (t < acc) return p.powerFraction;
-  }
-  return phases.back().powerFraction;
+PowerTrace::Cursor::Cursor(const PowerTrace& trace) : phases_(&trace.phases) {
+  if (phases_->empty()) throw std::logic_error("PowerTrace: empty trace");
+  end_ += phases_->front().duration;
 }
+
+double PowerTrace::Cursor::at(double t) {
+  while (!(t < end_) && index_ + 1 < phases_->size()) {
+    end_ += (*phases_)[++index_].duration;
+  }
+  return (*phases_)[index_].powerFraction;
+}
+
+double PowerTrace::at(double t) const { return Cursor(*this).at(t); }
 
 double PowerTrace::average() const {
   const double total = totalDuration();

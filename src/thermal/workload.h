@@ -4,6 +4,7 @@
 // power.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "util/rng.h"
@@ -19,8 +20,27 @@ struct PowerTrace {
   };
   std::vector<Phase> phases;
 
+  /// Phase lookup for non-decreasing times: each call only walks forward
+  /// from the previous call's phase, so stepping through the whole trace
+  /// costs O(steps + phases) rather than O(steps x phases). Phase ends are
+  /// the left-fold running sums of the durations; t selects the first
+  /// phase whose end lies beyond it (clamping to the last phase), which is
+  /// the rule at() applies. The trace must outlive the cursor.
+  class Cursor {
+   public:
+    /// Throws std::logic_error on an empty trace.
+    explicit Cursor(const PowerTrace& trace);
+    /// Power fraction at t; t must not decrease between calls.
+    [[nodiscard]] double at(double t);
+
+   private:
+    const std::vector<Phase>* phases_;
+    std::size_t index_ = 0;
+    double end_ = 0.0;  ///< end time of phases_[index_]
+  };
+
   [[nodiscard]] double totalDuration() const;
-  /// Power fraction at time t (clamps to last phase).
+  /// Power fraction at time t (clamps to last phase): a one-shot Cursor.
   [[nodiscard]] double at(double t) const;
   /// Time-averaged power fraction.
   [[nodiscard]] double average() const;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "util/units.h"
 
 namespace nano::circuit {
@@ -112,6 +115,74 @@ TEST(Library, PickThrowsForMissingFunction) {
   const Library lib(tech::nodeByFeature(100), cfg);
   EXPECT_THROW(static_cast<void>(lib.pick(CellFunction::Xor2, 1.0)),
                std::out_of_range);
+}
+
+// The historical pick(): a scan over every cell of the library. Kept as
+// the slow reference the per-corner index must agree with.
+const Cell* scanPick(const Library& lib, CellFunction function,
+                     double minDrive, VthClass vth, VddDomain domain) {
+  const Cell* best = nullptr;
+  const Cell* largest = nullptr;
+  for (const Cell& c : lib.cells()) {
+    if (c.function != function || c.vth != vth || c.vddDomain != domain) {
+      continue;
+    }
+    if (!largest || c.drive > largest->drive) largest = &c;
+    if (c.drive >= minDrive && (!best || c.drive < best->drive)) best = &c;
+  }
+  return best ? best : largest;
+}
+
+// Every corner, with minDrive below, on, just either side of, between and
+// above the configured drives: pick() must return the very Cell object
+// the scan finds, or throw where the scan finds none.
+void expectPickMatchesScan(const Library& lib) {
+  std::vector<double> probes = {-1.0, 0.0, 1e9};
+  for (double d : lib.config().driveStrengths) {
+    probes.insert(probes.end(), {0.5 * d, std::nextafter(d, 0.0), d,
+                                 std::nextafter(d, 1e300), 1.5 * d});
+  }
+  constexpr CellFunction kFunctions[] = {
+      CellFunction::Inv,   CellFunction::Buf,  CellFunction::Nand2,
+      CellFunction::Nand3, CellFunction::Nor2, CellFunction::Nor3,
+      CellFunction::Xor2,  CellFunction::LevelConverter};
+  for (CellFunction fn : kFunctions) {
+    for (VthClass vth : {VthClass::Low, VthClass::High}) {
+      for (VddDomain dom : {VddDomain::High, VddDomain::Low}) {
+        for (double minDrive : probes) {
+          const Cell* expected = scanPick(lib, fn, minDrive, vth, dom);
+          if (expected == nullptr) {
+            EXPECT_THROW(static_cast<void>(lib.pick(fn, minDrive, vth, dom)),
+                         std::out_of_range);
+          } else {
+            EXPECT_EQ(&lib.pick(fn, minDrive, vth, dom), expected)
+                << nameOf(fn) << " minDrive " << minDrive;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LibraryPickIndex, MatchesScanOnDefaultLibrary) {
+  expectPickMatchesScan(lib100());
+}
+
+TEST(LibraryPickIndex, MatchesScanOnSingleVthSingleVddLibrary) {
+  LibraryConfig cfg;
+  cfg.dualVth = false;
+  cfg.dualVdd = false;
+  expectPickMatchesScan(Library(tech::nodeByFeature(100), cfg));
+}
+
+TEST(LibraryPickIndex, MatchesScanWithUnsortedDuplicateDrives) {
+  // Equal drives tie-break to the first cell in library order, and a
+  // repeated function contributes a second run of cells to its corner.
+  LibraryConfig cfg;
+  cfg.driveStrengths = {8, 1, 2, 2, 0.5, 8};
+  cfg.functions = {CellFunction::Nand2, CellFunction::Inv,
+                   CellFunction::Nand2};
+  expectPickMatchesScan(Library(tech::nodeByFeature(100), cfg));
 }
 
 }  // namespace

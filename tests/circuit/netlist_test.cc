@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/library.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace nano::circuit {
@@ -210,6 +211,57 @@ TEST(LoadCapCache, AddGateAndMarkOutputRefreshDrivers) {
   nl.markOutput(g2);  // external load lands on the flagged node only
   EXPECT_DOUBLE_EQ(nl.loadCap(g2), 3e-15);
   EXPECT_DOUBLE_EQ(nl.loadCap(g1), f.inv.inputCap + 1e-15);
+}
+
+// From-scratch load of one node: its fanouts' input caps summed in fanout
+// order, then the wire and external terms.
+double scratchLoadCap(const Netlist& nl, int id) {
+  const Netlist::Node& n = nl.node(id);
+  double cap = 0.0;
+  for (int fo : n.fanouts) cap += nl.node(fo).cell.inputCap;
+  cap += nl.wireCapPerFanout() * static_cast<double>(n.fanouts.size());
+  if (n.isOutput) cap += nl.outputLoadCap();
+  return cap;
+}
+
+TEST(LoadCapCache, RandomMutationSequencesMatchFromScratchSums) {
+  Fixture f;
+  constexpr CellFunction kFunctions[] = {CellFunction::Inv,
+                                         CellFunction::Nand2,
+                                         CellFunction::Nor3,
+                                         CellFunction::Xor2};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    Netlist nl(0.37e-15, 2.1e-15);
+    for (int i = 0; i < 6; ++i) nl.addInput();
+    for (int op = 0; op < 400; ++op) {
+      const double r = rng.uniform();
+      const std::vector<int> gates = nl.gateIds();
+      if (r < 0.6 || gates.empty()) {
+        // Uniform fanins: early nodes collect long fanout lists, and a
+        // gate may take the same node on several pins.
+        const Cell cell =
+            f.lib.generateCustom(kFunctions[rng.uniformInt(0, 3)],
+                                 rng.uniform(0.5, 8.0));
+        std::vector<int> fanins;
+        for (int k = 0; k < cell.fanin(); ++k) {
+          fanins.push_back(rng.uniformInt(0, nl.nodeCount() - 1));
+        }
+        nl.addGate(cell, std::move(fanins));
+      } else if (r < 0.75) {
+        nl.markOutput(rng.uniformInt(0, nl.nodeCount() - 1));
+      } else {
+        const int id = gates[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(gates.size()) - 1))];
+        nl.replaceCell(id, f.lib.generateCustom(nl.node(id).cell.function,
+                                                rng.uniform(0.5, 8.0)));
+      }
+      for (int id = 0; id < nl.nodeCount(); ++id) {
+        ASSERT_EQ(nl.loadCap(id), scratchLoadCap(nl, id))
+            << "seed " << seed << " op " << op << " node " << id;
+      }
+    }
+  }
 }
 
 }  // namespace

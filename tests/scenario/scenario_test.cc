@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "obs/obs.h"
 #include "scenario/plant.h"
 #include "thermal/workload.h"
 
@@ -150,6 +151,48 @@ TEST(Scenario, ViolationRecordingIsCapped) {
   EXPECT_FALSE(r.ok);
   EXPECT_GT(r.violationCount, kMaxViolationsRecorded);
   EXPECT_EQ(static_cast<int>(r.violations.size()), kMaxViolationsRecorded);
+}
+
+// The historical PowerTrace::at(): re-scan from phase 0 for every lookup.
+// Kept as the slow reference the scenario loop's cursor must agree with.
+double scanAt(const thermal::PowerTrace& trace, double t) {
+  double acc = 0.0;
+  for (const auto& p : trace.phases) {
+    acc += p.duration;
+    if (t < acc) return p.powerFraction;
+  }
+  return trace.phases.back().powerFraction;
+}
+
+TEST(Scenario, CursorMatchesPhaseScanAtEveryStepOfLongDtmRun) {
+  ScenarioSpec spec = canonicalSpec("dtm");
+  spec.steps = 20000;
+  const ScenarioSetup setup = makeScenario(spec);
+  const thermal::PowerTrace& trace = setup.config.workload;
+  ASSERT_GT(trace.phases.size(), 300u);
+  thermal::PowerTrace::Cursor cursor(trace);
+  for (long step = 0; step < spec.steps; ++step) {
+    const double t = static_cast<double>(step) * setup.config.dt;
+    ASSERT_EQ(cursor.at(t), scanAt(trace, t)) << "step " << step;
+  }
+}
+
+TEST(Scenario, SensorGaugesHoldTheLastStepsState) {
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  ScenarioSetup setup = makeScenario(smallSpec("dtm"));
+  setup.config.traceStride = 1;
+  const ScenarioResult r =
+      runScenario(*setup.plant, *setup.policy, setup.config);
+  obs::setEnabled(wasEnabled);
+  ASSERT_EQ(r.trace.size(), 400u);
+  const StepRecord& last = r.trace.back();
+  auto& registry = obs::MetricsRegistry::instance();
+  EXPECT_EQ(registry.gauge("scenario/temperature_k").value(),
+            last.temperatureK);
+  EXPECT_EQ(registry.gauge("scenario/ir_drop_fraction").value(),
+            last.irDropFraction);
+  EXPECT_EQ(registry.gauge("scenario/slack_ps").value(), last.slackS * 1e12);
 }
 
 TEST(Scenario, CsvIsHeaderPlusDecimatedRows) {

@@ -130,6 +130,22 @@ TEST(RequestParse, ScenarioValidationRejectsBadValues) {
       mustFail(R"({"kind":"scenario_sweep","params":{"scenario":"meltdown"}})")
           .find("scenario"),
       std::string::npos);
+  // Simulated length: steps x dt_us may reach 1e7 us (10 s) and no more,
+  // however it splits into steps and dt_us.
+  mustParse(R"({"kind":"scenario","params":{"steps":200000,"dt_us":50}})");
+  mustParse(R"({"kind":"scenario","params":{"steps":1,"dt_us":1e7}})");
+  EXPECT_NE(
+      mustFail(R"({"kind":"scenario","params":{"steps":200000,"dt_us":50.5}})")
+          .find("dt_us"),
+      std::string::npos);
+  EXPECT_NE(
+      mustFail(R"({"kind":"scenario","params":{"steps":200000,"dt_us":1e5}})")
+          .find("dt_us"),
+      std::string::npos);
+  EXPECT_NE(
+      mustFail(R"({"kind":"scenario_sweep","params":{"dt_us":1e4}})")
+          .find("dt_us"),
+      std::string::npos);
 }
 
 TEST(RequestParse, RejectsBadInput) {

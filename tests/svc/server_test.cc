@@ -81,6 +81,26 @@ TEST(RunServer, SkipsBlanksTalliesInvalidAndKeepsServing) {
   EXPECT_NE(lines[3].find(R"("status":"timeout")"), std::string::npos);
 }
 
+TEST(RunServer, OverlongScenarioIsRejectedAsInvalid) {
+  // 200,000 steps of 100 ms would be 20,000 s of simulated time: answered
+  // with a structured invalid line, never evaluated.
+  std::istringstream in(
+      R"({"id":"long","kind":"scenario","params":{"steps":200000,"dt_us":1e5}})"
+      "\n"
+      R"({"id":"after","kind":"wire"})"
+      "\n");
+  std::ostringstream out;
+  Service service(replayOptions());
+  const ServerStats stats = runServer(in, out, service);
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  const std::vector<std::string> lines = splitLines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind(R"({"id":"long",)", 0), 0u) << lines[0];
+  EXPECT_NE(lines[0].find(R"("status":"invalid")"), std::string::npos);
+  EXPECT_NE(lines[0].find("dt_us"), std::string::npos);
+}
+
 TEST(RunServer, DeterministicErrorsAreStructuredNotFatal) {
   // 90 nm is not a roadmap node: evaluation throws, the service answers
   // with status:"error", and later requests still succeed.
