@@ -10,8 +10,6 @@
 #include "core/design_space.h"
 #include "device/mosfet.h"
 #include "exec/exec.h"
-#include "interconnect/interconnect_batch.h"
-#include "interconnect/wire.h"
 #include "kernel/device_batch.h"
 #include "kernel/dispatch.h"
 #include "obs/obs.h"
@@ -215,9 +213,18 @@ BENCHMARK(BM_GridSolve)
     ->Unit(benchmark::kMillisecond);
 
 // ---- nano::kernel batch micro-benchmarks (items = elements/s) ----------
-// Each pins the dispatch ISA via the second argument (0 = scalar
-// reference, 1 = AVX2 when the CPU has it) so before/after JSON captures
-// the specialization win per kernel, independent of thread count.
+// The second argument names the dispatch ISA (0 = scalar reference, 1 =
+// AVX2 when the CPU has it). BM_KernelSpmv pins it so before/after JSON
+// captures the specialization win, independent of thread count; the
+// device batches are plain loops and always run the same code.
+
+/// Restores the dispatch ISA that was active when it was built, so a
+/// benchmark that forces one leaves a NANO_KERNEL_ISA pin intact for
+/// every later row.
+struct IsaGuard {
+  kernel::Isa saved = kernel::activeIsa();
+  ~IsaGuard() { kernel::setActiveIsa(saved); }
+};
 
 bool forceIsa(benchmark::State& state) {
   const auto want =
@@ -229,9 +236,9 @@ bool forceIsa(benchmark::State& state) {
   return true;
 }
 
-// Prepared device Ion over a (Vth, Vdd) sweep batch. The family is
-// scalar-only by design (libm-bound); the win is the prepared constants
-// and the Illinois solve, visible against BM_VthSolve/BM_Sweep history.
+// Prepared device Ion over a (Vth, Vdd) sweep batch. A plain scalar loop
+// by design (libm-bound); the win is the prepared constants and the
+// Illinois solve, visible against BM_VthSolve/BM_Sweep history.
 void BM_KernelIonBatch(benchmark::State& state) {
   const auto& node = tech::nodeByFeature(35);
   const kernel::DeviceKernel kern = kernel::DeviceKernel::fromNode(node, node.vdd);
@@ -301,32 +308,6 @@ void BM_KernelSweepInnerLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSweepInnerLegacy)->ArgNames({"n", "isa"})->Args({4096, 0});
 
-// Elmore segment delay, the elementwise kernel with a true AVX2 variant.
-void BM_KernelRepeaterBatch(benchmark::State& state) {
-  const auto& node = tech::nodeByFeature(100);
-  const interconnect::RepeaterDriver driver =
-      interconnect::RepeaterDriver::fromNode(node);
-  const interconnect::WireRc rc =
-      interconnect::computeWireRc(interconnect::topLevelWire(node));
-  if (!forceIsa(state)) return;
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> size(n), length(n), out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    size[i] = 10.0 + 90.0 * static_cast<double>(i) / static_cast<double>(n);
-    length[i] = 1e-4 + 1e-3 * static_cast<double>(i) / static_cast<double>(n);
-  }
-  for (auto _ : state) {
-    interconnect::segmentDelayBatch(driver, rc, size, length, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  kernel::setActiveIsa(kernel::detectIsa());
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_KernelRepeaterBatch)
-    ->ArgNames({"n", "isa"})
-    ->Args({65536, 0})
-    ->Args({65536, 1});
-
 // SpMV on the power-grid Laplacian: scalar CSR reference vs the SELL-4
 // gather variant, on the same matrix the CG solve iterates.
 void BM_KernelSpmv(benchmark::State& state) {
@@ -343,12 +324,12 @@ void BM_KernelSpmv(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = 1.0 + 0.001 * static_cast<double>(i % 97);
   }
+  const IsaGuard guard;
   if (!forceIsa(state)) return;
   for (auto _ : state) {
     a.multiply(x, y);
     benchmark::DoNotOptimize(y.data());
   }
-  kernel::setActiveIsa(kernel::detectIsa());
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
   state.counters["nnz"] = static_cast<double>(a.nonZeros());
 }

@@ -111,10 +111,10 @@ std::vector<OperatingPoint> exploreDesignSpace(
   const std::size_t n = vdds.size() * vths.size();
 
   // SoA staging for the batched device kernels: each exec block hands its
-  // contiguous subrange to ionBatch/ioffBatch, so the family dispatch and
-  // the prepared constants are amortized over the block instead of paying
-  // a Mosfet construction per cell. Slot k is written only by its block;
-  // results are bit-identical at any thread count and batch split.
+  // contiguous subrange to ionBatch/ioffBatch, so the prepared constants
+  // are amortized over the block instead of paying a Mosfet construction
+  // per cell. Slot k is written only by its block; results are
+  // bit-identical at any thread count and batch split.
   std::vector<double> vth(n);
   std::vector<double> bias(n);
   for (std::size_t k = 0; k < n; ++k) {

@@ -87,105 +87,24 @@ double DeviceKernel::ioff(double vthNominal, double vds) const {
   return params_.ioffPrefactor * std::pow(10.0, -vth / swing_);
 }
 
-namespace {
-
-void ionBatchScalar(const DeviceKernel& k, const double* vthNominal,
-                    const double* vgs, const double* vds, double* out,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = k.ion(vthNominal[i], vgs[i], vds[i]);
-  }
-}
-
-void idsat0BatchScalar(const DeviceKernel& k, const double* vthNominal,
-                       const double* vgs, const double* vds, double* out,
-                       std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = k.idsat0(vthNominal[i], vgs[i], vds[i]);
-  }
-}
-
-void ioffBatchScalar(const DeviceKernel& k, const double* vthNominal,
-                     const double* vds, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = k.ioff(vthNominal[i], vds[i]);
-  }
-}
-
-}  // namespace
-
-KernelFamily<void (*)(const DeviceKernel&, const double*, const double*,
-                      const double*, double*, std::size_t)>&
-deviceIonFamily() {
-  static auto* family = [] {
-    auto* f = new KernelFamily<void (*)(const DeviceKernel&, const double*,
-                                        const double*, const double*, double*,
-                                        std::size_t)>("device/ion");
-    f->add("device_ion_secant_scalar", Isa::Scalar, &fitsAnyShape,
-           &ionBatchScalar);
-    return f;
-  }();
-  return *family;
-}
-
-KernelFamily<void (*)(const DeviceKernel&, const double*, const double*,
-                      const double*, double*, std::size_t)>&
-deviceIdsat0Family() {
-  static auto* family = [] {
-    auto* f = new KernelFamily<void (*)(const DeviceKernel&, const double*,
-                                        const double*, const double*, double*,
-                                        std::size_t)>("device/idsat0");
-    f->add("device_idsat0_prepared_scalar", Isa::Scalar, &fitsAnyShape,
-           &idsat0BatchScalar);
-    return f;
-  }();
-  return *family;
-}
-
-KernelFamily<void (*)(const DeviceKernel&, const double*, const double*,
-                      double*, std::size_t)>&
-deviceIoffFamily() {
-  static auto* family = [] {
-    auto* f = new KernelFamily<void (*)(const DeviceKernel&, const double*,
-                                        const double*, double*, std::size_t)>(
-        "device/ioff");
-    f->add("device_ioff_prepared_scalar", Isa::Scalar, &fitsAnyShape,
-           &ioffBatchScalar);
-    return f;
-  }();
-  return *family;
-}
-
 void DeviceKernel::ionBatch(std::span<const double> vthNominal,
                             std::span<const double> vgs,
                             std::span<const double> vds,
                             std::span<double> out) const {
-  const std::size_t n = out.size();
-  assert(vthNominal.size() == n && vgs.size() == n && vds.size() == n);
-  const BatchShape shape{n, true, 0, 0};
-  deviceIonFamily().pick(shape)(*this, vthNominal.data(), vgs.data(),
-                                vds.data(), out.data(), n);
-}
-
-void DeviceKernel::idsat0Batch(std::span<const double> vthNominal,
-                               std::span<const double> vgs,
-                               std::span<const double> vds,
-                               std::span<double> out) const {
-  const std::size_t n = out.size();
-  assert(vthNominal.size() == n && vgs.size() == n && vds.size() == n);
-  const BatchShape shape{n, true, 0, 0};
-  deviceIdsat0Family().pick(shape)(*this, vthNominal.data(), vgs.data(),
-                                   vds.data(), out.data(), n);
+  assert(vthNominal.size() == out.size() && vgs.size() == out.size() &&
+         vds.size() == out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = ion(vthNominal[i], vgs[i], vds[i]);
+  }
 }
 
 void DeviceKernel::ioffBatch(std::span<const double> vthNominal,
                              std::span<const double> vds,
                              std::span<double> out) const {
-  const std::size_t n = out.size();
-  assert(vthNominal.size() == n && vds.size() == n);
-  const BatchShape shape{n, true, 0, 0};
-  deviceIoffFamily().pick(shape)(*this, vthNominal.data(), vds.data(),
-                                 out.data(), n);
+  assert(vthNominal.size() == out.size() && vds.size() == out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = ioff(vthNominal[i], vds[i]);
+  }
 }
 
 }  // namespace nano::kernel

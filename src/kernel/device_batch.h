@@ -13,18 +13,15 @@
 // Mosfet::ionSelfConsistent (documented ~1e-11 relative agreement with the
 // historical Brent solve; see kernel/ion_solve.h).
 //
-// The batch entry points dispatch through KernelFamily registries
-// ("device/ion", "device/ioff", "device/idsat0") so `nanod --metrics`
-// reports which specialization served each batch. The device families are
-// deliberately scalar-only: their cost is libm (exp/log1p/pow) which has
-// no bit-identical vector form, so the SIMD wins live in the prepared
-// constants and the secant solve, not in lane width.
+// The batch entry points are plain loops over the prepared evaluators,
+// with no dispatch: their cost is libm (exp/log1p/pow), which has no
+// bit-identical vector form, so the wins live in the prepared constants
+// and the secant solve, not in lane width.
 #pragma once
 
 #include <span>
 
 #include "device/mosfet.h"
-#include "kernel/dispatch.h"
 
 namespace nano::kernel {
 
@@ -69,9 +66,6 @@ class DeviceKernel {
                 std::span<double> out) const;
   void ioffBatch(std::span<const double> vthNominal,
                  std::span<const double> vds, std::span<double> out) const;
-  void idsat0Batch(std::span<const double> vthNominal,
-                   std::span<const double> vgs, std::span<const double> vds,
-                   std::span<double> out) const;
 
   [[nodiscard]] const device::MosfetParams& params() const { return params_; }
 
@@ -93,17 +87,5 @@ class DeviceKernel {
   double twoVsat_ = 0.0;     ///< 2 * vsat
   double twoLeff_ = 0.0;     ///< 2 * leff
 };
-
-/// Families backing the batch entry points (exposed for tests/benchmarks
-/// that want to interrogate pickedName()).
-KernelFamily<void (*)(const DeviceKernel&, const double*, const double*,
-                      const double*, double*, std::size_t)>&
-deviceIonFamily();
-KernelFamily<void (*)(const DeviceKernel&, const double*, const double*,
-                      const double*, double*, std::size_t)>&
-deviceIdsat0Family();
-KernelFamily<void (*)(const DeviceKernel&, const double*, const double*,
-                      double*, std::size_t)>&
-deviceIoffFamily();
 
 }  // namespace nano::kernel

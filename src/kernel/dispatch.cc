@@ -52,8 +52,12 @@ Isa activeIsa() { return activeIsaSlot().load(std::memory_order_relaxed); }
 Isa setActiveIsa(Isa isa) {
   const Isa installed = clampToDetected(isa);
   activeIsaSlot().store(installed, std::memory_order_relaxed);
-  NANO_OBS_GAUGE("kernel/isa_avx2", installed >= Isa::Avx2 ? 1.0 : 0.0);
+  publishActiveIsa();
   return installed;
+}
+
+void publishActiveIsa() {
+  NANO_OBS_GAUGE("kernel/isa_avx2", activeIsa() == Isa::Avx2 ? 1.0 : 0.0);
 }
 
 }  // namespace nano::kernel

@@ -5,12 +5,14 @@
 // The design splits a hot inner loop into three pieces:
 //  * a *prepared* evaluator that hoists every batch-invariant constant out
 //    of the per-element expression (kernel/device_batch.h),
-//  * one or more *variants* of the element loop — a scalar reference plus
-//    explicit AVX2 specializations where the compiler cannot vectorize
-//    (gathers, masked remainders) — registered in a KernelFamily,
-//  * a dispatch-time *pick* that selects the widest variant the running
-//    CPU supports and the batch shape fits, the cpp-native analogue of
-//    GeNN's per-merged-group kernel codegen.
+//  * the element loop as a scalar reference plus, where the compiler
+//    cannot vectorize it (gathers, masked remainders), an explicit AVX2
+//    specialization, the two held by a KernelFamily,
+//  * a dispatch-time *pick* that runs the AVX2 variant exactly when the
+//    active ISA is AVX2 — the cpp-native analogue of GeNN's per-merged-
+//    group kernel codegen, specialized only where the code differs.
+// A kernel with a single variant (the device batches) is a plain loop and
+// is not dispatched at all.
 //
 // Bit-reproducibility contract: every variant of a family must produce
 // bit-identical results to the family's scalar reference (per-lane
@@ -21,10 +23,7 @@
 // NANO_KERNEL_ISA=scalar must never change any result byte.
 #pragma once
 
-#include <cstddef>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "obs/obs.h"
 
@@ -45,24 +44,21 @@ Isa detectIsa();
 /// Asking for a wider ISA than the CPU has falls back to the detected one.
 Isa activeIsa();
 
-/// Test hook: force the dispatch ISA (clamped to detectIsa()). Returns the
-/// ISA actually installed so tests can skip when AVX2 is unavailable.
+/// Test hook: force the dispatch ISA (clamped to detectIsa()) and publish
+/// it like publishActiveIsa(). Returns the ISA actually installed so tests
+/// can skip when AVX2 is unavailable.
 Isa setActiveIsa(Isa isa);
 
-/// Shape of one batch request; variants declare what shapes they serve.
-struct BatchShape {
-  std::size_t lanes = 0;      ///< elements in the batch
-  bool uniformParams = true;  ///< model constants fixed across the batch
-  int colorCount = 0;         ///< smoother colors (0 = not a smoother)
-  std::size_t rowWidth = 0;   ///< common CSR/SELL row width (0 = irregular)
-};
+/// Set the `kernel/isa_avx2` gauge from activeIsa(): 1 for AVX2, 0 for
+/// scalar (a no-op while observability is off). svc::Service calls it on
+/// construction, so an export carries the gauge even when no request
+/// dispatches a kernel.
+void publishActiveIsa();
 
-/// A family of interchangeable kernel variants sharing one signature.
-/// Variants are registered cheapest-first; pick() scans from the most
-/// recently added (most specialized) variant and takes the first one whose
-/// minimum ISA is active and whose predicate accepts the batch shape. The
-/// first registration must be a Scalar variant accepting every shape so a
-/// pick can never fail.
+/// A kernel with two variants sharing one signature: the portable scalar
+/// reference and an AVX2 specialization. pick() reads activeIsa() alone;
+/// on targets without AVX2 code the AVX2 function may be null, because
+/// activeIsa() is always Scalar there.
 ///
 /// Every pick bumps the `kernel/batch/<family>` counter and the winning
 /// variant's `kernel/variant/<name>` counter, so `nanod --metrics` shows
@@ -70,66 +66,44 @@ struct BatchShape {
 template <typename Fn>
 class KernelFamily {
  public:
-  explicit KernelFamily(std::string familyName)
-      : name_(std::move(familyName)),
-        batchCounterName_("kernel/batch/" + name_) {}
+  KernelFamily(const std::string& family, const std::string& scalarName,
+               Fn scalar, const std::string& avx2Name, Fn avx2)
+      : batchCounterName_("kernel/batch/" + family),
+        scalar_(scalarName, scalar),
+        avx2_(avx2Name, avx2) {}
 
   KernelFamily(const KernelFamily&) = delete;
   KernelFamily& operator=(const KernelFamily&) = delete;
 
-  void add(std::string variantName, Isa minIsa, bool (*fits)(const BatchShape&),
-           Fn fn) {
-    Variant v;
-    v.counterName = "kernel/variant/" + variantName;
-    v.name = std::move(variantName);
-    v.minIsa = minIsa;
-    v.fits = fits;
-    v.fn = fn;
-    variants_.push_back(std::move(v));
+  /// The variant for the active ISA; records the dispatch counters.
+  Fn pick() const {
+    const Variant& v = active();
+    NANO_OBS_COUNT(batchCounterName_, 1);
+    NANO_OBS_COUNT(v.counterName, 1);
+    return v.fn;
   }
-
-  /// Select the variant for `shape` under the active ISA and record the
-  /// dispatch counters. Never fails once a universal scalar variant is
-  /// registered.
-  Fn pick(const BatchShape& shape) const { return pickVariant(shape).fn; }
 
   /// Name of the variant pick() would run (tests and diagnostics).
-  const std::string& pickedName(const BatchShape& shape) const {
-    return pickVariant(shape).name;
-  }
-
-  const std::string& name() const { return name_; }
+  const std::string& pickedName() const { return active().name; }
 
  private:
   struct Variant {
+    Variant(const std::string& variantName, Fn variantFn)
+        : name(variantName),
+          counterName("kernel/variant/" + variantName),
+          fn(variantFn) {}
     std::string name;
     std::string counterName;
-    Isa minIsa = Isa::Scalar;
-    bool (*fits)(const BatchShape&) = nullptr;
-    Fn fn = nullptr;
+    Fn fn;
   };
 
-  const Variant& pickVariant(const BatchShape& shape) const {
-    const Isa isa = activeIsa();
-    for (std::size_t i = variants_.size(); i-- > 0;) {
-      const Variant& v = variants_[i];
-      if (v.minIsa > isa) continue;
-      if (v.fits != nullptr && !v.fits(shape)) continue;
-      NANO_OBS_COUNT(batchCounterName_, 1);
-      NANO_OBS_COUNT(v.counterName, 1);
-      return v;
-    }
-    // Unreachable by construction (families register a universal scalar
-    // variant first); keep the no-variant failure loud rather than UB.
-    throw std::logic_error("KernelFamily '" + name_ + "': no variant fits");
+  const Variant& active() const {
+    return activeIsa() == Isa::Avx2 ? avx2_ : scalar_;
   }
 
-  std::string name_;
   std::string batchCounterName_;
-  std::vector<Variant> variants_;
+  Variant scalar_;
+  Variant avx2_;
 };
-
-/// Shape predicate accepting everything (the scalar-fallback default).
-inline bool fitsAnyShape(const BatchShape&) { return true; }
 
 }  // namespace nano::kernel

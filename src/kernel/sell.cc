@@ -216,10 +216,6 @@ __attribute__((target("avx2"))) void spmvSellAvx2(const CsrView&,
 }
 #endif
 
-bool fitsSell(const BatchShape& shape) {
-  return shape.rowWidth == SellMatrix::kSlice;
-}
-
 // ---- Gauss-Seidel sweep variants ------------------------------------------
 
 void gsScalar(const GsColorPack& p, const double* b, double* x,
@@ -280,8 +276,6 @@ __attribute__((target("avx2"))) void gsSellAvx2(const GsColorPack& p,
 }
 #endif
 
-bool fitsColored(const BatchShape& shape) { return shape.colorCount > 0; }
-
 // ---- Weighted-Jacobi update variants --------------------------------------
 
 void jacobiScalar(double weight, const double* invDiag, const double* b,
@@ -311,43 +305,31 @@ __attribute__((target("avx2"))) void jacobiAvx2(double weight,
   }
   jacobiScalar(weight, invDiag, b, t, x, i, end);
 }
+#else
+// No AVX2 code off x86; activeIsa() is always Scalar there.
+constexpr SpmvFn spmvSellAvx2 = nullptr;
+constexpr GsFn gsSellAvx2 = nullptr;
+constexpr JacobiFn jacobiAvx2 = nullptr;
 #endif
 
 }  // namespace
 
-KernelFamily<SpmvFn>& spmvFamily() {
-  static auto* family = [] {
-    auto* f = new KernelFamily<SpmvFn>("spmv");
-    f->add("spmv_csr_scalar", Isa::Scalar, &fitsAnyShape, &spmvCsrScalar);
-#if defined(__x86_64__) || defined(__i386__)
-    f->add("spmv_sell_avx2", Isa::Avx2, &fitsSell, &spmvSellAvx2);
-#endif
-    return f;
-  }();
+const KernelFamily<SpmvFn>& spmvFamily() {
+  static const auto* family = new KernelFamily<SpmvFn>(
+      "spmv", "spmv_csr_scalar", spmvCsrScalar, "spmv_sell_avx2",
+      spmvSellAvx2);
   return *family;
 }
 
-KernelFamily<GsFn>& gsFamily() {
-  static auto* family = [] {
-    auto* f = new KernelFamily<GsFn>("gs");
-    f->add("gs_sell_scalar", Isa::Scalar, &fitsAnyShape, &gsScalar);
-#if defined(__x86_64__) || defined(__i386__)
-    f->add("gs_sell_avx2", Isa::Avx2, &fitsColored, &gsSellAvx2);
-#endif
-    return f;
-  }();
+const KernelFamily<GsFn>& gsFamily() {
+  static const auto* family = new KernelFamily<GsFn>(
+      "gs", "gs_sell_scalar", gsScalar, "gs_sell_avx2", gsSellAvx2);
   return *family;
 }
 
-KernelFamily<JacobiFn>& jacobiFamily() {
-  static auto* family = [] {
-    auto* f = new KernelFamily<JacobiFn>("jacobi");
-    f->add("jacobi_scalar", Isa::Scalar, &fitsAnyShape, &jacobiScalar);
-#if defined(__x86_64__) || defined(__i386__)
-    f->add("jacobi_avx2", Isa::Avx2, &fitsAnyShape, &jacobiAvx2);
-#endif
-    return f;
-  }();
+const KernelFamily<JacobiFn>& jacobiFamily() {
+  static const auto* family = new KernelFamily<JacobiFn>(
+      "jacobi", "jacobi_scalar", jacobiScalar, "jacobi_avx2", jacobiAvx2);
   return *family;
 }
 

@@ -72,23 +72,23 @@ struct GsColorPack {
                                 const std::vector<double>& invDiag);
 };
 
-/// y[r] = sum_k val[k]*x[col[k]] for rows [rowBegin, rowEnd). `sell` may be
-/// null (scalar CSR variants ignore it); AVX2 variants require it and only
-/// fit shapes with rowWidth == SellMatrix::kSlice.
+/// y[r] = sum_k val[k]*x[col[k]] for rows [rowBegin, rowEnd). The scalar
+/// CSR variant ignores `sell` (it may be null); the AVX2 variant reads the
+/// SELL-4 pack and requires it.
 using SpmvFn = void (*)(const CsrView&, const SellMatrix*, const double* x,
                         double* y, std::size_t rowBegin, std::size_t rowEnd);
-KernelFamily<SpmvFn>& spmvFamily();
+const KernelFamily<SpmvFn>& spmvFamily();
 
 /// Gauss-Seidel update of bucket slots [slotBegin, slotEnd):
 /// x[target[k]] = (b[target[k]] - sum off-diag) * invDiag[k].
 using GsFn = void (*)(const GsColorPack&, const double* b, double* x,
                       std::size_t slotBegin, std::size_t slotEnd);
-KernelFamily<GsFn>& gsFamily();
+const KernelFamily<GsFn>& gsFamily();
 
 /// x[i] += weight * invDiag[i] * (b[i] - t[i]) for i in [begin, end).
 using JacobiFn = void (*)(double weight, const double* invDiag,
                           const double* b, const double* t, double* x,
                           std::size_t begin, std::size_t end);
-KernelFamily<JacobiFn>& jacobiFamily();
+const KernelFamily<JacobiFn>& jacobiFamily();
 
 }  // namespace nano::kernel

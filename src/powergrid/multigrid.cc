@@ -528,10 +528,8 @@ void MultigridHierarchy::smooth(const Level& lvl, const std::vector<double>& b,
   const SparseSpd& a = *lvl.a;
   const std::size_t n = a.size();
   if (lvl.smoother == SmootherKind::RedBlackGaussSeidel) {
-    const int colorCount = static_cast<int>(lvl.colors.size());
     auto sweepBucket = [&](const kernel::GsColorPack& pack) {
-      const kernel::BatchShape shape{pack.count, true, colorCount, 0};
-      const kernel::GsFn fn = kernel::gsFamily().pick(shape);
+      const kernel::GsFn fn = kernel::gsFamily().pick();
       auto body = [&](std::size_t lo, std::size_t hi) {
         fn(pack, b.data(), x.data(), lo, hi);
       };
@@ -557,11 +555,10 @@ void MultigridHierarchy::smooth(const Level& lvl, const std::vector<double>& b,
       }
     }
   } else {
-    const kernel::BatchShape shape{n, true, 0, 0};
     std::vector<double> t(n);
     for (int s = 0; s < sweeps; ++s) {
       a.multiply(x, t);
-      const kernel::JacobiFn fn = kernel::jacobiFamily().pick(shape);
+      const kernel::JacobiFn fn = kernel::jacobiFamily().pick();
       auto body = [&](std::size_t lo, std::size_t hi) {
         fn(opt_.jacobiWeight, lvl.invDiag.data(), b.data(), t.data(),
            x.data(), lo, hi);

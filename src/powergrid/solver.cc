@@ -107,12 +107,11 @@ void SparseSpd::multiply(const std::vector<double>& x,
   // zero-fill per call (the old y.assign) is pure waste inside CG loops.
   if (y.size() != n_) y.resize(n_);
   // Dispatch through the SpMV kernel family: scalar CSR reference, or the
-  // sliced-ELL AVX2 variant when the CPU has it. Every variant computes
-  // each row's sum whole with the CSR accumulation order, so the result is
+  // sliced-ELL AVX2 variant when the active ISA is AVX2. Both compute each
+  // row's sum whole with the CSR accumulation order, so the result is
   // bit-identical across variants and at any thread count or blocking.
   const kernel::CsrView view = csrView();
-  const kernel::BatchShape shape{n_, true, 0, kernel::SellMatrix::kSlice};
-  const kernel::SpmvFn fn = kernel::spmvFamily().pick(shape);
+  const kernel::SpmvFn fn = kernel::spmvFamily().pick();
   auto rows = [&](std::size_t begin, std::size_t end) {
     fn(view, &sell_, x.data(), y.data(), begin, end);
   };

@@ -5,38 +5,14 @@
 
 namespace nano::scenario {
 
-void ReactiveDtmPolicy::reset() {
-  throttled_ = false;
-  pendingChangeAt_ = -1.0;
-  pendingState_ = false;
-}
-
 Actuation ReactiveDtmPolicy::decide(const PolicyObservation& obs) {
-  // Same sensor state machine as thermal::simulateDtm: the comparator
-  // output (with hysteresis) schedules an actuation change sensorDelay
-  // in the future; the change applies once its time arrives.
-  const bool wants =
-      throttled_
-          ? (obs.temperatureK >
-             config_.tripTemperatureK - config_.hysteresisK)
-          : (obs.temperatureK > config_.tripTemperatureK);
-  if (wants != throttled_) {
-    if (pendingChangeAt_ < 0 || pendingState_ != wants) {
-      pendingChangeAt_ = obs.timeS + config_.sensorDelayS;
-      pendingState_ = wants;
-    }
-    if (obs.timeS >= pendingChangeAt_) {
-      throttled_ = pendingState_;
-      pendingChangeAt_ = -1.0;
-    }
-  } else {
-    pendingChangeAt_ = -1.0;
-  }
-
   Actuation act;
-  if (throttled_) {
-    act.freqFraction = config_.throttleFactor;
-    act.vddFraction = config_.scaleVdd ? config_.throttleFactor : 1.0;
+  if (sensor_.update(obs.timeS, obs.temperatureK)) {
+    const thermal::DtmPolicy& p = sensor_.policy();
+    act.freqFraction = p.throttleFactor;
+    act.vddFraction = p.kind == thermal::ThrottleKind::ClockAndVdd
+                          ? p.throttleFactor
+                          : 1.0;
   }
   return act;
 }
@@ -49,19 +25,7 @@ TableDvfsPolicy::TableDvfsPolicy(const Config& config) : config_(config) {
 
 Actuation TableDvfsPolicy::decide(const PolicyObservation& obs) {
   const double d = std::clamp(obs.demandFraction, 0.0, 1.0);
-  // The thermal::simulateDvfs governor contract: admissible = frequency
-  // covers the demand; among admissible pick the lowest power factor;
-  // fastest level when demand exceeds them all.
-  const thermal::DvfsLevel* fastest = &config_.levels.front();
-  const thermal::DvfsLevel* best = nullptr;
-  for (const auto& level : config_.levels) {
-    if (level.freqFraction > fastest->freqFraction) fastest = &level;
-    if (level.freqFraction + 1e-12 >= d &&
-        (best == nullptr || level.powerFactor() < best->powerFactor())) {
-      best = &level;
-    }
-  }
-  const thermal::DvfsLevel& pick = best != nullptr ? *best : *fastest;
+  const thermal::DvfsLevel& pick = thermal::pickDvfsLevel(config_.levels, d);
   Actuation act;
   act.freqFraction = pick.freqFraction;
   act.vddFraction = pick.vddFraction;

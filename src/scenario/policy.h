@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "thermal/dtm.h"
 #include "thermal/dvfs.h"
 
 namespace nano::scenario {
@@ -49,37 +50,29 @@ class Policy {
   virtual Actuation decide(const PolicyObservation& obs) = 0;
 };
 
-/// Reactive DTM throttle: the Pentium 4-style trip sensor with hysteresis
-/// and actuation delay, semantics matching thermal::simulateDtm. While
-/// throttled the clock runs at `throttleFactor` (and Vdd tracks it when
-/// `scaleVdd` is set, the ClockAndVdd kind).
+/// Reactive DTM throttle: the Pentium 4-style trip sensor
+/// (thermal::DtmSensor) read at the observation time. While throttled the
+/// clock runs at `throttleFactor`, and Vdd tracks it for the ClockAndVdd
+/// kind.
 class ReactiveDtmPolicy : public Policy {
  public:
-  struct Config {
-    double tripTemperatureK = 0.0;  ///< asserts above this
-    double hysteresisK = 3.0;       ///< deasserts below trip - hysteresis
-    double throttleFactor = 0.5;
-    double sensorDelayS = 100e-6;
-    bool scaleVdd = false;
-  };
-  explicit ReactiveDtmPolicy(const Config& config) : config_(config) {}
+  explicit ReactiveDtmPolicy(const thermal::DtmPolicy& config)
+      : sensor_(config) {}
 
   [[nodiscard]] const char* name() const override { return "dtm"; }
-  void reset() override;
+  void reset() override { sensor_.reset(); }
   Actuation decide(const PolicyObservation& obs) override;
-  [[nodiscard]] const Config& config() const { return config_; }
+  [[nodiscard]] const thermal::DtmPolicy& config() const {
+    return sensor_.policy();
+  }
 
  private:
-  Config config_;
-  bool throttled_ = false;
-  double pendingChangeAt_ = -1.0;
-  bool pendingState_ = false;
+  thermal::DtmSensor sensor_;
 };
 
-/// Table-driven DVFS governor: picks the lowest-power level of a (f, V)
-/// table whose frequency covers the observed demand (the fastest level if
-/// none does — the thermal::simulateDvfs contract), and clock-gates below
-/// a demand threshold (0 disables gating).
+/// Table-driven DVFS governor: thermal::pickDvfsLevel over a (f, V) table
+/// at the observed demand, and clock-gates below a demand threshold (0
+/// disables gating).
 class TableDvfsPolicy : public Policy {
  public:
   struct Config {

@@ -312,12 +312,14 @@ ScenarioSetup makeScenario(const ScenarioSpec& spec) {
   setup.plant = Plant::forConfig(plantConfig);
 
   if (policyName == "dtm") {
-    ReactiveDtmPolicy::Config cfg;
+    // The node's default sensor (3 K hysteresis, 100 us actuation delay)
+    // with the knobs' throttle factor and trip margin.
+    thermal::DtmPolicy cfg = thermal::defaultPolicyFor(node);
     cfg.throttleFactor =
         resolveKnob(spec.knobA, 0.5, range.aLo, range.aHi, "throttle");
     const double margin =
         resolveKnob(spec.knobB, 4.0, range.bLo, range.bHi, "trip-margin");
-    cfg.tripTemperatureK = node.tjMax - margin;
+    cfg.tripTemperature = node.tjMax - margin;
     setup.policy = std::make_unique<ReactiveDtmPolicy>(cfg);
   } else if (policyName == "dvfs") {
     TableDvfsPolicy::Config cfg;

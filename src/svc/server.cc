@@ -5,6 +5,7 @@
 #include <ostream>
 #include <utility>
 
+#include "kernel/dispatch.h"
 #include "obs/obs.h"
 #include "svc/json.h"
 
@@ -14,7 +15,9 @@ Service::Service(ServiceOptions options)
     : options_(options),
       cache_(options.cacheEntries, options.cacheShards),
       scheduler_([this](const Request& request) { return handle(request); },
-                 options.scheduler) {}
+                 options.scheduler) {
+  kernel::publishActiveIsa();
+}
 
 Response Service::handle(const Request& request) {
   std::int64_t evalNs = 0;

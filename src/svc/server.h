@@ -66,6 +66,8 @@ constexpr std::uint64_t traceSeqOf(std::uint64_t traceId) {
 /// A running service instance: thread-safe, many concurrent submitters.
 class Service {
  public:
+  /// Publishes the kernel/isa_avx2 gauge (kernel::publishActiveIsa), so
+  /// the metrics carry the dispatch ISA even before any kernel runs.
   explicit Service(ServiceOptions options = {});
 
   Service(const Service&) = delete;

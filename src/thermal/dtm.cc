@@ -8,6 +8,27 @@
 
 namespace nano::thermal {
 
+bool DtmSensor::update(double t, double temperature) {
+  // Comparator with hysteresis; a change of its output is scheduled
+  // sensorDelay ahead and applies once its time arrives.
+  const bool wants =
+      throttled_ ? (temperature > policy_.tripTemperature - policy_.hysteresis)
+                 : (temperature > policy_.tripTemperature);
+  if (policy_.enabled && wants != throttled_) {
+    if (pendingChangeAt_ < 0 || pendingState_ != wants) {
+      pendingChangeAt_ = t + policy_.sensorDelay;
+      pendingState_ = wants;
+    }
+    if (t >= pendingChangeAt_) {
+      throttled_ = pendingState_;
+      pendingChangeAt_ = -1.0;
+    }
+  } else {
+    pendingChangeAt_ = -1.0;
+  }
+  return throttled_;
+}
+
 DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
                       double worstCasePower, double tAmbient,
                       const DtmPolicy& policy, double dt, int traceStride) {
@@ -27,9 +48,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
 
   DtmResult result;
   double temperature = tAmbient;
-  bool throttled = false;
-  double pendingChangeAt = -1.0;  // sensor delay modeling
-  bool pendingState = false;
+  DtmSensor sensor(policy);
 
   double tempSum = 0.0;
   double cycleSum = 0.0;
@@ -38,23 +57,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
   PowerTrace::Cursor demand(trace);
 
   for (double t = 0.0; t < duration; t += dt, ++steps) {
-    // Sensor comparison (with hysteresis); actuation after sensorDelay.
-    const bool sensorWantsThrottle =
-        throttled ? (temperature > policy.tripTemperature - policy.hysteresis)
-                  : (temperature > policy.tripTemperature);
-    if (policy.enabled && sensorWantsThrottle != throttled) {
-      if (pendingChangeAt < 0 || pendingState != sensorWantsThrottle) {
-        pendingChangeAt = t + policy.sensorDelay;
-        pendingState = sensorWantsThrottle;
-      }
-      if (t >= pendingChangeAt) {
-        throttled = pendingState;
-        pendingChangeAt = -1.0;
-      }
-    } else {
-      pendingChangeAt = -1.0;
-    }
-
+    const bool throttled = sensor.update(t, temperature);
     const double demandFraction = demand.at(t);
     const double powerFactor = throttled ? throttledPowerFactor : 1.0;
     const double power = demandFraction * worstCasePower * powerFactor;

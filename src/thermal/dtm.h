@@ -28,6 +28,31 @@ struct DtmPolicy {
   bool enabled = true;
 };
 
+/// The DTM trip sensor: a comparator with hysteresis whose output reaches
+/// the clock `sensorDelay` after it changes. Each step the caller feeds it
+/// the time and the die temperature and gets back whether the clock runs
+/// throttled. simulateDtm and the scenario engine's DTM policy both drive
+/// it, each computing `t` its own way.
+class DtmSensor {
+ public:
+  explicit DtmSensor(const DtmPolicy& policy) : policy_(policy) {}
+
+  /// Advance the sensor to time `t` (s) at `temperature` (K); returns the
+  /// throttle state for the step that starts at `t`.
+  bool update(double t, double temperature);
+
+  /// Forget the latch and any pending actuation.
+  void reset() { *this = DtmSensor(policy_); }
+
+  [[nodiscard]] const DtmPolicy& policy() const { return policy_; }
+
+ private:
+  DtmPolicy policy_;
+  bool throttled_ = false;
+  double pendingChangeAt_ = -1.0;  ///< s; < 0 while no change is pending
+  bool pendingState_ = false;
+};
+
 /// Result of a closed-loop simulation.
 struct DtmResult {
   double maxTemperature = 0.0;       ///< K

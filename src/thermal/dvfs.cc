@@ -7,6 +7,20 @@
 
 namespace nano::thermal {
 
+const DvfsLevel& pickDvfsLevel(std::span<const DvfsLevel> levels,
+                               double demand) {
+  const DvfsLevel* fastest = &levels.front();
+  const DvfsLevel* best = nullptr;
+  for (const DvfsLevel& level : levels) {
+    if (level.freqFraction > fastest->freqFraction) fastest = &level;
+    if (level.freqFraction + 1e-12 >= demand &&
+        (best == nullptr || level.powerFactor() < best->powerFactor())) {
+      best = &level;
+    }
+  }
+  return best != nullptr ? *best : *fastest;
+}
+
 DvfsResult simulateDvfs(const ThermalPackage& package, const PowerTrace& demand,
                         double worstCasePower, double tAmbient,
                         const DvfsPolicy& policy) {
@@ -16,21 +30,6 @@ DvfsResult simulateDvfs(const ThermalPackage& package, const PowerTrace& demand,
     throw std::invalid_argument("simulateDvfs: " + check.describe());
   }
 
-  // The governor's choice per demand value: the admissible level with the
-  // lowest power factor; the fastest level if demand exceeds them all.
-  auto pickLevel = [&](double d) {
-    const DvfsLevel* fastest = &policy.levels.front();
-    const DvfsLevel* best = nullptr;
-    for (const auto& level : policy.levels) {
-      if (level.freqFraction > fastest->freqFraction) fastest = &level;
-      if (level.freqFraction + 1e-12 >= d &&
-          (best == nullptr || level.powerFactor() < best->powerFactor())) {
-        best = &level;
-      }
-    }
-    return best != nullptr ? best : fastest;
-  };
-
   DvfsResult res;
   double temperature = tAmbient;
   double demandedWork = 0.0;
@@ -38,7 +37,7 @@ DvfsResult simulateDvfs(const ThermalPackage& package, const PowerTrace& demand,
 
   for (const auto& phase : demand.phases) {
     const double d = std::clamp(phase.powerFraction, 0.0, 1.0);
-    const DvfsLevel& level = *pickLevel(d);
+    const DvfsLevel& level = pickDvfsLevel(policy.levels, d);
 
     // Work: the core can deliver at most level.freqFraction of peak.
     const double delivered = std::min(d, level.freqFraction);

@@ -7,6 +7,7 @@
 // throttle, for temperature comparisons.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "thermal/package.h"
@@ -25,15 +26,21 @@ struct DvfsLevel {
 };
 
 struct DvfsPolicy {
-  /// Levels in any order; the governor picks the lowest-power level whose
-  /// frequency covers the demand (or the fastest level if none does).
-  /// Defaults follow typical V-f pairs (V roughly tracks f).
+  /// Levels in any order; the governor picks among them with
+  /// pickDvfsLevel. Defaults follow typical V-f pairs (V roughly tracks f).
   std::vector<DvfsLevel> levels = {
       {1.00, 1.00}, {0.80, 0.90}, {0.60, 0.80}, {0.40, 0.70}, {0.20, 0.60}};
   /// Idle power as a fraction of peak, burned whenever the core is not
   /// executing (leakage + clocking at the current voltage, ~ V^2).
   double idleFraction = 0.10;
 };
+
+/// The governor's pick: the lowest-power level whose frequency covers
+/// `demand` (ties go to the first such level), or the fastest level when
+/// none does. `levels` must not be empty. simulateDvfs and the scenario
+/// engine's DVFS policy both use it.
+const DvfsLevel& pickDvfsLevel(std::span<const DvfsLevel> levels,
+                               double demand);
 
 struct DvfsResult {
   double energy = 0.0;              ///< J over the trace

@@ -129,36 +129,4 @@ ThermalInputCheck validateDvfsInputs(const ThermalPackage& package,
   return checkCommon(package, demand, worstCasePower, tAmbient, "demand");
 }
 
-ThermalInputCheck trySimulateDtm(const ThermalPackage& package,
-                                 const PowerTrace& trace,
-                                 double worstCasePower, double tAmbient,
-                                 const DtmPolicy& policy, DtmResult& result,
-                                 double dt, int traceStride) {
-  ThermalInputCheck check = validateDtmInputs(package, trace, worstCasePower,
-                                              tAmbient, policy, dt,
-                                              traceStride);
-  if (!check.ok()) {
-    result = DtmResult{};
-    return check;
-  }
-  result = simulateDtm(package, trace, worstCasePower, tAmbient, policy, dt,
-                       traceStride);
-  return check;
-}
-
-ThermalInputCheck trySimulateDvfs(const ThermalPackage& package,
-                                  const PowerTrace& demand,
-                                  double worstCasePower, double tAmbient,
-                                  const DvfsPolicy& policy,
-                                  DvfsResult& result) {
-  ThermalInputCheck check =
-      validateDvfsInputs(package, demand, worstCasePower, tAmbient, policy);
-  if (!check.ok()) {
-    result = DvfsResult{};
-    return check;
-  }
-  result = simulateDvfs(package, demand, worstCasePower, tAmbient, policy);
-  return check;
-}
-
 }  // namespace nano::thermal

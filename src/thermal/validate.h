@@ -1,10 +1,10 @@
 // Structured input validation for the thermal closed-loop simulators,
-// following the PR 3 SolverStatus convention: a status enum with a stable
-// short name, a cheap-to-copy check record, non-throwing try* simulation
-// variants that report through the record, and the classic names kept as
-// throwing wrappers. Bad policies (trip below ambient, empty level tables,
-// non-positive time steps) are rejected up front instead of silently
-// producing garbage traces.
+// following the SolverStatus convention: a status enum with a stable short
+// name and a cheap-to-copy check record. simulateDtm and simulateDvfs run
+// these checks first and throw std::invalid_argument carrying describe().
+// Bad policies (trip below ambient, empty level tables, non-positive time
+// steps) are rejected up front instead of silently producing garbage
+// traces.
 #pragma once
 
 #include <string>
@@ -54,20 +54,5 @@ ThermalInputCheck validateDvfsInputs(const ThermalPackage& package,
                                      const PowerTrace& demand,
                                      double worstCasePower, double tAmbient,
                                      const DvfsPolicy& policy);
-
-/// Non-throwing simulateDtm: on rejected inputs returns a failed check and
-/// leaves `result` default-constructed; never throws for bad inputs.
-ThermalInputCheck trySimulateDtm(const ThermalPackage& package,
-                                 const PowerTrace& trace,
-                                 double worstCasePower, double tAmbient,
-                                 const DtmPolicy& policy, DtmResult& result,
-                                 double dt = 20e-6, int traceStride = 50);
-
-/// Non-throwing simulateDvfs: same contract as trySimulateDtm.
-ThermalInputCheck trySimulateDvfs(const ThermalPackage& package,
-                                  const PowerTrace& demand,
-                                  double worstCasePower, double tAmbient,
-                                  const DvfsPolicy& policy,
-                                  DvfsResult& result);
 
 }  // namespace nano::thermal

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "device/mosfet.h"
+#include "kernel/dispatch.h"
 #include "tech/itrs.h"
 #include "util/numeric.h"
 
@@ -69,11 +70,10 @@ TEST(DeviceKernel, BatchMatchesScalarForAnySplitAndIsa) {
     vgs[i] = 0.25 + 0.008 * static_cast<double>(i);
     vds[i] = 0.20 + 0.009 * static_cast<double>(i);
   }
-  std::vector<double> refIon(n), refIoff(n), refIdsat(n);
+  std::vector<double> refIon(n), refIoff(n);
   for (std::size_t i = 0; i < n; ++i) {
     refIon[i] = kern.ion(vth[i], vgs[i], vds[i]);
     refIoff[i] = kern.ioff(vth[i], vds[i]);
-    refIdsat[i] = kern.idsat0(vth[i], vgs[i], vds[i]);
   }
 
   IsaGuard guard;
@@ -81,20 +81,16 @@ TEST(DeviceKernel, BatchMatchesScalarForAnySplitAndIsa) {
     if (setActiveIsa(isa) != isa) continue;  // no AVX2 on this CPU
     // Whole batch, batch-of-one, and an uneven split: all bit-identical.
     for (const std::size_t split : {n, std::size_t{1}, std::size_t{13}}) {
-      std::vector<double> ion(n), ioff(n), idsat(n);
+      std::vector<double> ion(n), ioff(n);
       for (std::size_t begin = 0; begin < n; begin += split) {
         const std::size_t len = std::min(split, n - begin);
         kern.ionBatch({vth.data() + begin, len}, {vgs.data() + begin, len},
                       {vds.data() + begin, len}, {ion.data() + begin, len});
         kern.ioffBatch({vth.data() + begin, len}, {vds.data() + begin, len},
                        {ioff.data() + begin, len});
-        kern.idsat0Batch({vth.data() + begin, len}, {vgs.data() + begin, len},
-                         {vds.data() + begin, len},
-                         {idsat.data() + begin, len});
       }
       EXPECT_EQ(ion, refIon);
       EXPECT_EQ(ioff, refIoff);
-      EXPECT_EQ(idsat, refIdsat);
     }
   }
 }

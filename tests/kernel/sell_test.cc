@@ -65,14 +65,13 @@ TEST(SellSpmv, Avx2MatchesScalarCsrForAnyShapeAndBlocking) {
     const std::vector<double> x = randomVector(n, rng);
 
     setActiveIsa(Isa::Scalar);
-    const BatchShape shape{n, true, 0, SellMatrix::kSlice};
     std::vector<double> ref(n);
-    spmvFamily().pick(shape)(a.view(), &sell, x.data(), ref.data(), 0, n);
-    EXPECT_EQ(spmvFamily().pickedName(shape), "spmv_csr_scalar");
+    spmvFamily().pick()(a.view(), &sell, x.data(), ref.data(), 0, n);
+    EXPECT_EQ(spmvFamily().pickedName(), "spmv_csr_scalar");
 
     if (setActiveIsa(Isa::Avx2) != Isa::Avx2) continue;
-    EXPECT_EQ(spmvFamily().pickedName(shape), "spmv_sell_avx2");
-    const SpmvFn fn = spmvFamily().pick(shape);
+    EXPECT_EQ(spmvFamily().pickedName(), "spmv_sell_avx2");
+    const SpmvFn fn = spmvFamily().pick();
     // Whole range plus deliberately unaligned blockings: the variant must
     // give the same bytes however parallelForBlocked splits the rows.
     for (const std::size_t block : {n, std::size_t{1}, std::size_t{5}}) {
@@ -123,13 +122,12 @@ TEST(SellGs, Avx2SweepMatchesScalarForAnyBucketAndBlocking) {
     const std::vector<double> x0 = randomVector(n, rng);
 
     setActiveIsa(Isa::Scalar);
-    const BatchShape shape{pack.count, true, 2, 0};
     std::vector<double> ref = x0;
-    gsFamily().pick(shape)(pack, b.data(), ref.data(), 0, pack.count);
+    gsFamily().pick()(pack, b.data(), ref.data(), 0, pack.count);
 
     if (setActiveIsa(Isa::Avx2) != Isa::Avx2) continue;
-    EXPECT_EQ(gsFamily().pickedName(shape), "gs_sell_avx2");
-    const GsFn fn = gsFamily().pick(shape);
+    EXPECT_EQ(gsFamily().pickedName(), "gs_sell_avx2");
+    const GsFn fn = gsFamily().pick();
     for (const std::size_t block : {pack.count, std::size_t{1}, std::size_t{3}}) {
       std::vector<double> x = x0;
       for (std::size_t begin = 0; begin < pack.count; begin += block) {
@@ -152,16 +150,15 @@ TEST(SellJacobi, Avx2MatchesScalar) {
     const double w = 0.8;
 
     setActiveIsa(Isa::Scalar);
-    const BatchShape shape{n, true, 0, 0};
     std::vector<double> ref = x0;
-    jacobiFamily().pick(shape)(w, invDiag.data(), b.data(), t.data(),
-                               ref.data(), 0, n);
+    jacobiFamily().pick()(w, invDiag.data(), b.data(), t.data(), ref.data(),
+                          0, n);
 
     if (setActiveIsa(Isa::Avx2) != Isa::Avx2) continue;
-    EXPECT_EQ(jacobiFamily().pickedName(shape), "jacobi_avx2");
+    EXPECT_EQ(jacobiFamily().pickedName(), "jacobi_avx2");
     std::vector<double> x = x0;
-    jacobiFamily().pick(shape)(w, invDiag.data(), b.data(), t.data(),
-                               x.data(), 0, n);
+    jacobiFamily().pick()(w, invDiag.data(), b.data(), t.data(), x.data(), 0,
+                          n);
     EXPECT_EQ(x, ref);
   }
 }
@@ -179,8 +176,7 @@ TEST(SellMatrixPack, PreservesEveryEntryOnce) {
     IsaGuard guard;
     setActiveIsa(Isa::Scalar);
     // The scalar CSR variant ignores the pack; use it as ground truth.
-    spmvFamily().pick({n, true, 0, 0})(a.view(), &sell, ones.data(), y.data(),
-                                       0, n);
+    spmvFamily().pick()(a.view(), &sell, ones.data(), y.data(), 0, n);
     for (std::size_t r = 0; r < n; ++r) {
       double sum = 0.0;
       for (std::size_t k = a.rowPtr[r]; k < a.rowPtr[r + 1]; ++k) {

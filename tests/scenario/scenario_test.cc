@@ -6,6 +6,7 @@
 
 #include "obs/obs.h"
 #include "scenario/plant.h"
+#include "tech/itrs.h"
 #include "thermal/workload.h"
 
 namespace nano::scenario {
@@ -231,6 +232,14 @@ TEST(MakeScenario, KnobsParameterizeThePolicy) {
   const auto* dtm = dynamic_cast<const ReactiveDtmPolicy*>(setup.policy.get());
   ASSERT_NE(dtm, nullptr);
   EXPECT_DOUBLE_EQ(dtm->config().throttleFactor, 0.7);
+  // The sensor the scenario goldens were recorded with: 3 K hysteresis,
+  // a 100 us actuation path, clock-only throttling, trip 4 K under tjMax.
+  const tech::TechNode& node = tech::nodeByFeature(spec.nodeNm);
+  EXPECT_EQ(dtm->config().hysteresis, 3.0);
+  EXPECT_EQ(dtm->config().sensorDelay, 100e-6);
+  EXPECT_EQ(dtm->config().kind, thermal::ThrottleKind::ClockOnly);
+  EXPECT_TRUE(dtm->config().enabled);
+  EXPECT_EQ(dtm->config().tripTemperature, node.tjMax - 4.0);
 }
 
 TEST(MakeScenario, DefaultPoliciesAndRanges) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "exec/exec.h"
+#include "kernel/dispatch.h"
 #include "obs/obs.h"
 
 namespace nano::svc {
@@ -31,6 +32,33 @@ std::vector<std::string> splitLines(const std::string& text) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+TEST(Service, ExportsKernelIsaGaugeBeforeAnyKernelRuns) {
+  // nanod --metrics must carry the dispatch ISA even when no request
+  // dispatches a kernel: the Service publishes it on construction.
+  auto& registry = obs::MetricsRegistry::instance();
+  const bool wasEnabled = obs::enabled();
+  const kernel::Isa savedIsa = kernel::activeIsa();
+  obs::setEnabled(true);
+  std::vector<kernel::Isa> tiers = {kernel::Isa::Scalar};
+  if (kernel::detectIsa() == kernel::Isa::Avx2) {
+    tiers.push_back(kernel::Isa::Avx2);
+  }
+  for (const kernel::Isa isa : tiers) {
+    kernel::setActiveIsa(isa);
+    registry.reset();  // forget the gauge setActiveIsa just wrote
+    { const Service service; }
+    std::ostringstream prom;
+    obs::exportPrometheus(prom);
+    const std::string expected =
+        isa == kernel::Isa::Avx2 ? "\nnano_kernel_isa_avx2 1\n"
+                                 : "\nnano_kernel_isa_avx2 0\n";
+    EXPECT_NE(prom.str().find(expected), std::string::npos) << prom.str();
+  }
+  kernel::setActiveIsa(savedIsa);
+  obs::setEnabled(wasEnabled);
+  registry.reset();
 }
 
 TEST(RunServer, EmitsResponsesInInputOrder) {

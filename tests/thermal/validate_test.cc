@@ -145,42 +145,6 @@ TEST(ThermalValidate, DvfsRejectsEmptyLevelsAndBadRanges) {
                   .ok());
 }
 
-TEST(ThermalValidate, TrySimulateDtmReportsInsteadOfThrowing) {
-  Fixture f;
-  DtmResult result;
-  const ThermalInputCheck bad = trySimulateDtm(
-      f.package, powerVirus(0.01), f.worstCase, f.tAmbient, f.policy, result,
-      0.0);
-  EXPECT_EQ(bad.status, ThermalInputStatus::BadTimeStep);
-  EXPECT_EQ(result.maxTemperature, 0.0);  // untouched on rejection
-
-  const ThermalInputCheck good = trySimulateDtm(
-      f.package, powerVirus(0.01), f.worstCase, f.tAmbient, f.policy, result);
-  EXPECT_TRUE(good.ok());
-  const DtmResult direct = simulateDtm(f.package, powerVirus(0.01),
-                                       f.worstCase, f.tAmbient, f.policy);
-  EXPECT_DOUBLE_EQ(result.maxTemperature, direct.maxTemperature);
-  EXPECT_DOUBLE_EQ(result.throughputFraction, direct.throughputFraction);
-}
-
-TEST(ThermalValidate, TrySimulateDvfsReportsInsteadOfThrowing) {
-  Fixture f;
-  DvfsResult result;
-  DvfsPolicy empty;
-  empty.levels.clear();
-  const ThermalInputCheck bad = trySimulateDvfs(
-      f.package, demand({0.5}), f.worstCase, f.tAmbient, empty, result);
-  EXPECT_EQ(bad.status, ThermalInputStatus::BadPolicy);
-  EXPECT_EQ(result.energy, 0.0);
-
-  const ThermalInputCheck good = trySimulateDvfs(
-      f.package, demand({0.5}), f.worstCase, f.tAmbient, DvfsPolicy{}, result);
-  EXPECT_TRUE(good.ok());
-  const DvfsResult direct =
-      simulateDvfs(f.package, demand({0.5}), f.worstCase, f.tAmbient);
-  EXPECT_DOUBLE_EQ(result.energy, direct.energy);
-}
-
 TEST(ThermalValidate, ThrowingWrapperCarriesStructuredMessage) {
   Fixture f;
   DtmPolicy bad = f.policy;
