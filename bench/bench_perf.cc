@@ -13,6 +13,7 @@
 #include "kernel/device_batch.h"
 #include "kernel/dispatch.h"
 #include "obs/obs.h"
+#include "opt/cvs.h"
 #include "opt/dual_vth.h"
 #include "opt/sizing.h"
 #include "powergrid/grid_model.h"
@@ -90,9 +91,11 @@ void BM_DualVth(benchmark::State& state) {
   const circuit::Netlist nl = makeNetlist(static_cast<int>(state.range(0)));
   double fractionHigh = 0.0;
   for (auto _ : state) {
-    const opt::DualVthResult r = opt::runDualVth(nl, lib100());
+    opt::DualVthResult r = opt::runDualVth(nl, lib100());
+    // DoNotOptimize on the result, not on the double: GCC's "+m,r" asm
+    // constraint can hand a double back garbled.
+    benchmark::DoNotOptimize(r);
     fractionHigh = r.fractionHighVth;
-    benchmark::DoNotOptimize(fractionHigh);
   }
   // gates examined per second; fraction converted for PR-over-PR sanity
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -112,6 +115,32 @@ void BM_Sizing(benchmark::State& state) {
   state.counters["gates_resized"] = resized;
 }
 BENCHMARK(BM_Sizing)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+// Clustered voltage scaling on the BM_DualVth netlists. Each candidate it
+// tries still converts a copy of the netlist and times it in full, so the
+// NetlistSoA builds per call (`mirrors`, counted in one extra run outside
+// the timed loop) grow with the number of trials.
+void BM_Cvs(benchmark::State& state) {
+  const circuit::Netlist nl = makeNetlist(static_cast<int>(state.range(0)));
+  double fractionLow = 0.0;
+  for (auto _ : state) {
+    opt::CvsResult r = opt::runCvs(nl, lib100());
+    benchmark::DoNotOptimize(r);
+    fractionLow = r.fractionLowVdd;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["fraction_low_vdd"] = fractionLow;
+
+  const obs::Counter& builds =
+      obs::MetricsRegistry::instance().counter("circuit/soa_builds");
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  const std::int64_t builds0 = builds.value();
+  opt::runCvs(nl, lib100());
+  state.counters["mirrors"] = static_cast<double>(builds.value() - builds0);
+  obs::setEnabled(wasEnabled);
+}
+BENCHMARK(BM_Cvs)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 // The incremental engine alone: one committed swap + one rolled-back swap
 // per iteration on a large netlist (items = swaps/s). The repropagated

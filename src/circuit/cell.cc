@@ -84,10 +84,6 @@ const char* nameOf(CellFunction f) {
   throw std::logic_error("nameOf: bad function");
 }
 
-double Cell::delay(double loadCap) const {
-  return 0.69 * driveResistance * (loadCap + selfCap);
-}
-
 double Cell::switchingEnergy(double loadCap) const {
   return (loadCap + selfCap) * vdd * vdd;
 }

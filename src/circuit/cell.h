@@ -35,6 +35,13 @@ double leakageFactorOf(CellFunction function);
 /// Short name, e.g. "NAND2".
 const char* nameOf(CellFunction function);
 
+/// RC gate delay, s: 0.69 * drive resistance * (external load + self
+/// cap). The timing model's one delay formula; Cell::delay and
+/// NetlistSoA::gateDelay both evaluate it.
+inline double rcDelay(double driveResistance, double loadCap, double selfCap) {
+  return 0.69 * driveResistance * (loadCap + selfCap);
+}
+
 /// Threshold flavor of a cell.
 enum class VthClass { Low, High };
 
@@ -58,7 +65,9 @@ struct Cell {
 
   [[nodiscard]] int fanin() const { return faninOf(function); }
   /// Propagation delay driving `loadCap` (external), s.
-  [[nodiscard]] double delay(double loadCap) const;
+  [[nodiscard]] double delay(double loadCap) const {
+    return rcDelay(driveResistance, loadCap, selfCap);
+  }
   /// Supply energy per output transition driving `loadCap`, J.
   [[nodiscard]] double switchingEnergy(double loadCap) const;
 };

@@ -124,23 +124,19 @@ const Cell& NetlistSoA::cell(std::uint32_t id) const {
   return cells_.at(id);
 }
 
-void NetlistSoA::setCell(std::uint32_t gate, const Cell& cell) {
+void NetlistSoA::setCell(std::uint32_t gate, const Netlist& netlist) {
   if (gate >= nodeCount_ || isGate_[gate] == 0) {
     throw std::invalid_argument("NetlistSoA::setCell: not a gate");
   }
+  const Cell& cell = netlist.node(static_cast<int>(gate)).cell;
   driveRes_[gate] = cell.driveResistance;
   selfCap_[gate] = cell.selfCap;
   inputCap_[gate] = cell.inputCap;
   if (keepCells_) cells_[gate] = cell;
-  // Refresh each fanin driver's load with Netlist::refreshLoadCap's exact
-  // summation order (fanout edge order, then wire, then external load).
+  // The swapped input cap loads every fanin net; the gate's own load
+  // depends on its fanouts only and is unchanged.
   for (const std::uint32_t f : fanins(gate)) {
-    double cap = 0.0;
-    const auto consumers = fanouts(f);
-    for (const std::uint32_t c : consumers) cap += inputCap_[c];
-    cap += wireCapPerFanout_ * static_cast<double>(consumers.size());
-    if (isOutput_[f] != 0) cap += outputLoadCap_;
-    loadCap_[f] = cap;
+    loadCap_[f] = netlist.loadCap(static_cast<int>(f));
   }
 }
 

@@ -6,17 +6,18 @@
 //
 //   isGate / isOutput        per-node flags (uint8)
 //   fanin CSR, fanout CSR    adjacency, object edge order preserved
-//   loadCap / driveRes /     the exact operands of Cell::delay and the
-//     selfCap / inputCap       load-cap cache, mirrored bit-for-bit
+//   loadCap / driveRes /     the operands of circuit::rcDelay, copied from
+//     selfCap / inputCap       the cells and the netlist's load-cap cache
 //   outputs                  endpoint list, insertion order preserved
 //   level schedule           levelize() buckets for level-parallel sweeps
 //
-// The mirror is semantically lossless: with keepCells on (the default) the
-// full Cell structs ride along in a cold std::vector and toNetlist()
-// reconstructs an object netlist whose netlist_io serialization is
-// byte-identical to the source's. rebuild() rewinds the arena and rebuilds
-// in place, so a steady-state consumer re-mirroring a same-shaped netlist
-// allocates nothing.
+// The mirror computes no load itself: rebuild() and setCell() copy every
+// operand from the object netlist, so its values are the netlist's own.
+// With keepCells on (the default) the full Cell structs ride along in a
+// cold std::vector and toNetlist() reconstructs an object netlist whose
+// netlist_io serialization is byte-identical to the source's. rebuild()
+// rewinds the arena and rebuilds in place, so a steady-state consumer
+// re-mirroring a same-shaped netlist allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,7 @@ class NetlistSoA {
     return {outputs_, outputCount_};
   }
 
-  /// Exact operands of the timing model, mirrored from the object netlist.
+  /// Operands of the timing model, copied from the object netlist.
   [[nodiscard]] double loadCap(std::uint32_t id) const { return loadCap_[id]; }
   [[nodiscard]] double driveResistance(std::uint32_t id) const {
     return driveRes_[id];
@@ -77,12 +78,11 @@ class NetlistSoA {
     return inputCap_[id];
   }
 
-  /// Gate delay driving its current load; bit-identical to
+  /// Gate delay driving its current load, the same rcDelay as
   /// node.cell.delay(netlist.loadCap(id)). Zero for primary inputs.
   [[nodiscard]] double gateDelay(std::uint32_t id) const {
-    return isGate_[id] != 0
-               ? 0.69 * driveRes_[id] * (loadCap_[id] + selfCap_[id])
-               : 0.0;
+    return isGate_[id] != 0 ? rcDelay(driveRes_[id], loadCap_[id], selfCap_[id])
+                            : 0.0;
   }
 
   // Level schedule (levelize() over the fanin CSR): nodes of level L are
@@ -105,10 +105,10 @@ class NetlistSoA {
   [[nodiscard]] const Cell& cell(std::uint32_t id) const;
   [[nodiscard]] bool hasCells() const { return keepCells_; }
 
-  /// Mirror of Netlist::replaceCell: swap a gate's cell parameters and
-  /// refresh the load-cap cache of its fanin drivers with the same
-  /// summation order, so both representations stay bit-identical.
-  void setCell(std::uint32_t gate, const Cell& cell);
+  /// Follow a Netlist::replaceCell(gate, ...) already applied to
+  /// `netlist`: copy the gate's new cell operands and its fanin drivers'
+  /// refreshed netlist.loadCap() values.
+  void setCell(std::uint32_t gate, const Netlist& netlist);
 
   /// Reconstruct an object netlist (requires keepCells). Node ids, edge
   /// order and output order are preserved, so writeNetlist() output is

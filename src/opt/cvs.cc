@@ -17,12 +17,16 @@ CvsResult runCvs(const Netlist& netlist, const circuit::Library& library,
                  const CvsOptions& options, double freq) {
   NANO_OBS_SPAN("opt/cvs");
   CvsResult res;
-  res.timingBefore = sta::analyze(netlist, options.clockPeriod);
-  const double clock = res.timingBefore.clockPeriod;
+  Netlist work = netlist;
+  // Incremental engine on the unconverted working netlist: keeps per-gate
+  // slacks live for the prune below at O(cone) per accepted move. The
+  // exact converter-aware verification still times a converted copy.
+  sta::IncrementalSta inc(work, options.clockPeriod);
+  res.timingBefore = inc.exportResult();
+  const double clock = inc.clockPeriod();
   if (freq <= 0) freq = 1.0 / clock;
   res.powerBefore = power::computePower(netlist, freq, options.piActivity);
 
-  Netlist work = netlist;
   const double margin = options.guardband * clock;
   // Converter latency absorbed at an output boundary if the endpoint gate
   // moves to Vdd,l (level-converting capture stage).
@@ -31,12 +35,6 @@ CvsResult runCvs(const Netlist& netlist, const circuit::Library& library,
                    VddDomain::High);
   const double lcDelay = lcCell.delay(work.outputLoadCap());
 
-  // Incremental engine on the unconverted working netlist: keeps per-gate
-  // slacks live for the prune below at O(cone) per accepted move. The
-  // exact converter-aware verification still times a converted copy.
-  // Seeded with timingBefore (work is still an exact copy), so no second
-  // full analysis runs.
-  sta::IncrementalSta inc(work, res.timingBefore);
   const auto gates = work.gateIds();
   int lowCount = 0;
 

@@ -17,17 +17,15 @@ DualVthResult runDualVth(const Netlist& netlist,
                          const DualVthOptions& options, double freq) {
   NANO_OBS_SPAN("opt/dual_vth");
   DualVthResult res;
-  res.timingBefore = sta::analyze(netlist, options.clockPeriod);
-  const double clock = res.timingBefore.clockPeriod;
+  Netlist work = netlist;
+  // Incremental engine: each trial swap repropagates only the affected
+  // cone instead of re-timing the whole netlist.
+  sta::IncrementalSta inc(work, options.clockPeriod);
+  res.timingBefore = inc.exportResult();
+  const double clock = inc.clockPeriod();
   if (freq <= 0) freq = 1.0 / clock;
   res.powerBefore = power::computePower(netlist, freq, options.piActivity);
-
-  Netlist work = netlist;
   const double margin = options.guardband * clock;
-  // Incremental engine: each trial swap repropagates only the affected
-  // cone instead of re-timing the whole netlist. Seeded with timingBefore
-  // (work is still an exact copy), so no second full analysis runs.
-  sta::IncrementalSta inc(work, res.timingBefore);
 
   // Rank candidates by leakage saved per delay added (sensitivity order).
   // Ranking only reads the shared netlist, so it maps over the gates in

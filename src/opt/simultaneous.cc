@@ -33,13 +33,12 @@ SimultaneousResult runSimultaneous(const Netlist& netlist,
                                    double freq) {
   NANO_OBS_SPAN("opt/simultaneous");
   SimultaneousResult res;
-  res.timingBefore = sta::analyze(netlist, options.clockPeriod);
-  const double clock = res.timingBefore.clockPeriod;
-  if (freq <= 0) freq = 1.0 / clock;
+  Netlist work = netlist;
+  sta::IncrementalSta inc(work, options.clockPeriod);
+  res.timingBefore = inc.exportResult();
+  if (freq <= 0) freq = 1.0 / inc.clockPeriod();
   res.powerBefore = power::computePower(netlist, freq, options.piActivity);
 
-  Netlist work = netlist;
-  sta::IncrementalSta inc(work, res.timingBefore);
   auto activity = power::propagateActivity(work, 0.5, options.piActivity);
   // Moves that failed full STA despite fitting the local slack estimate:
   // (gate, isVth, drive quantized) — skip instead of retrying forever.

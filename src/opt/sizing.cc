@@ -47,20 +47,18 @@ SizingResult downsizeForPower(const Netlist& netlist,
                               const SizingOptions& options, double freq) {
   NANO_OBS_SPAN("opt/downsize");
   SizingResult res;
-  res.timingBefore = sta::analyze(netlist, options.clockPeriod);
-  const double clock = res.timingBefore.clockPeriod;
+  Netlist work = netlist;
+  // Incremental engine: trial swaps repropagate only the affected cone;
+  // slacks are always current, so each pass sorts on live values.
+  sta::IncrementalSta inc(work, options.clockPeriod);
+  res.timingBefore = inc.exportResult();
+  const double clock = inc.clockPeriod();
   if (freq <= 0) freq = 1.0 / clock;
   res.powerBefore = power::computePower(netlist, freq, options.piActivity);
   res.areaBefore = netlist.totalArea();
 
-  Netlist work = netlist;
   const double margin = options.guardband * clock;
   constexpr int kMaxPasses = 4;
-  // Incremental engine: trial swaps repropagate only the affected cone;
-  // slacks are always current, so each pass sorts on live values. Seeded
-  // with timingBefore (work is still an exact copy), so no second full
-  // analysis runs.
-  sta::IncrementalSta inc(work, res.timingBefore);
 
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     // Most-slack-first order.
@@ -113,14 +111,14 @@ SizingResult upsizeForTiming(const Netlist& netlist,
                              double clockPeriod, double freq, double maxDrive) {
   NANO_OBS_SPAN("opt/upsize");
   SizingResult res;
-  res.timingBefore = sta::analyze(netlist, clockPeriod);
+  Netlist work = netlist;
+  sta::IncrementalSta inc(work, clockPeriod);
+  res.timingBefore = inc.exportResult();
   if (freq <= 0) freq = 1.0 / clockPeriod;
   res.powerBefore = power::computePower(netlist, freq);
   res.areaBefore = netlist.totalArea();
 
-  Netlist work = netlist;
   const int maxMoves = 4 * netlist.gateCount();
-  sta::IncrementalSta inc(work, res.timingBefore);
   for (int move = 0; move < maxMoves; ++move) {
     if (inc.meetsTiming()) break;
 
@@ -193,17 +191,19 @@ SizingResult sizeToLoad(const Netlist& netlist, const circuit::Library& library,
     }
   }
 
-  // Recover timing if the re-sizing broke it.
+  // Recover timing if the re-sizing broke it. The recovery pass times its
+  // result at the same clock, so either way `timing` is the final netlist's.
   sta::TimingResult timing = sta::analyze(work, clock);
   if (!timing.meetsTiming()) {
     SizingResult fix = upsizeForTiming(work, library, clock, freq);
     work = std::move(fix.netlist);
     res.gatesResized += fix.gatesResized;
+    timing = std::move(fix.timingAfter);
   }
 
   res.powerAfter = power::computePower(work, freq, options.piActivity);
   res.areaAfter = work.totalArea();
-  res.timingAfter = sta::analyze(work, clock);
+  res.timingAfter = std::move(timing);
   res.netlist = std::move(work);
   return res;
 }

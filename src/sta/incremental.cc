@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -12,91 +11,22 @@ namespace nano::sta {
 
 using circuit::Netlist;
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
-
-IncrementalSta::IncrementalSta(Netlist& netlist, double clockPeriod,
-                               double epsilon)
-    : netlist_(&netlist), clock_(clockPeriod), epsilon_(epsilon) {
-  if (epsilon < 0) {
-    throw std::invalid_argument("IncrementalSta: negative epsilon");
-  }
-  rebuild();
-}
-
-IncrementalSta::IncrementalSta(Netlist& netlist, const TimingResult& seed,
-                               double epsilon)
-    : netlist_(&netlist), clock_(seed.clockPeriod), epsilon_(epsilon) {
-  if (epsilon < 0) {
-    throw std::invalid_argument("IncrementalSta: negative epsilon");
-  }
-  if (seed.clockPeriod <= 0) {
-    throw std::invalid_argument("IncrementalSta: seed has no clock period");
-  }
-  const auto n = static_cast<std::size_t>(netlist.nodeCount());
-  if (seed.arrival.size() != n || seed.required.size() != n ||
-      seed.slack.size() != n) {
-    throw std::invalid_argument(
-        "IncrementalSta: seed result does not cover the netlist");
-  }
-  soa_.rebuild(*netlist_, {.keepCells = false});
-  bindState(seed.arrival, seed.required, seed.slack);
-}
-
-void IncrementalSta::rebuild() {
-  if (pending_) {
-    throw std::logic_error("IncrementalSta::rebuild: trial pending");
-  }
-  soa_.rebuild(*netlist_, {.keepCells = false});
-  TimingResult r = analyze(soa_, clock_ > 0 ? clock_ : -1.0);
+IncrementalSta::IncrementalSta(Netlist& netlist, double clockPeriod)
+    : netlist_(&netlist), soa_(netlist, {.keepCells = false}) {
+  TimingResult r = analyze(soa_, clockPeriod);
   clock_ = r.clockPeriod;  // resolved to the critical delay when <= 0
-  bindState(std::move(r.arrival), std::move(r.required), std::move(r.slack));
-}
-
-void IncrementalSta::bindState(std::vector<double> arrival,
-                               std::vector<double> required,
-                               std::vector<double> slack) {
-  arrival_ = std::move(arrival);
-  required_ = std::move(required);
-  slack_ = std::move(slack);
-  const std::size_t n = arrival_.size();
-  mark_.assign(n, 0);
-  queued_.assign(n, 0);
-  epoch_ = 0;
-  queueEpoch_ = 0;
-  journal_.clear();
-  pending_ = false;
-  pendingGate_ = -1;
-}
-
-double IncrementalSta::recomputeArrival(int id) const {
-  const auto u = static_cast<std::uint32_t>(id);
-  if (!soa_.isGate(u)) return 0.0;
-  // Same clamp-at-zero max as sta::analyze's forward pass.
-  double worst = 0.0;
-  for (const std::uint32_t f : soa_.fanins(u)) {
-    const double a = arrival_[f];
-    if (a >= worst) worst = a;
+  if (clock_ <= 0) {
+    throw std::invalid_argument("IncrementalSta: no positive clock period");
   }
-  return worst + soa_.gateDelay(u);
-}
-
-double IncrementalSta::recomputeRequired(int id) const {
-  const auto u = static_cast<std::uint32_t>(id);
-  double req = soa_.isOutput(u) ? clock_ : kInf;
-  for (const std::uint32_t fo : soa_.fanouts(u)) {
-    req = std::min(req, required_[fo] - soa_.gateDelay(fo));
-  }
-  return req;
+  arrival_ = std::move(r.arrival);
+  required_ = std::move(r.required);
+  slack_ = std::move(r.slack);
+  mark_.assign(arrival_.size(), 0);
+  queued_.assign(arrival_.size(), 0);
 }
 
 double IncrementalSta::worstSlack() const {
-  double worst = kInf;
-  for (const std::uint32_t id : soa_.outputs()) {
-    worst = std::min(worst, slack_[id]);
-  }
-  return worst;
+  return worstEndpointSlack(soa_, slack_.data());
 }
 
 void IncrementalSta::save(int id) {
@@ -113,13 +43,13 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
         "IncrementalSta::trial: a trial is already pending; commit or "
         "rollback first");
   }
-  const auto& node = netlist_->node(gate);
-  if (node.kind != Netlist::NodeKind::Gate) {
-    throw std::invalid_argument("IncrementalSta::trial: not a gate");
-  }
+  // replaceCell validates the swap (a gate, the same function) and throws
+  // before mutating anything, so a rejected swap leaves no trial pending.
+  circuit::Cell previous = netlist_->node(gate).cell;
+  netlist_->replaceCell(gate, std::move(cell));
   pending_ = true;
   pendingGate_ = gate;
-  savedCell_ = node.cell;
+  savedCell_ = std::move(previous);
   ++epoch_;
   if (epoch_ == 0) {  // epoch wrapped: stale marks could collide
     std::fill(mark_.begin(), mark_.end(), 0u);
@@ -137,11 +67,7 @@ void IncrementalSta::trial(int gate, circuit::Cell cell) {
   }
   delayChanged.push_back(gate);
 
-  // Object netlist first (replaceCell validates the swap and throws
-  // before mutating), then the mirror — both refresh the fanin load caps
-  // with the same summation order, so they stay bit-identical.
-  netlist_->replaceCell(gate, cell);
-  soa_.setCell(g, cell);
+  soa_.setCell(g, *netlist_);
   const std::int64_t before = repropagated_;
   propagateDelayChange(delayChanged);
   NANO_OBS_COUNT("sta/incremental_trials", 1);
@@ -160,7 +86,7 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
   // Forward: arrivals through the fanout cones. A min-heap over node ids
   // is a topological order (fanins always have smaller ids), so each node
   // is finalized in one visit; propagation stops where the recomputed
-  // arrival matches the stored one within epsilon.
+  // arrival equals the stored one (a NaN difference keeps it stopped).
   bumpQueueEpoch();
   heap_.clear();
   auto pushForward = [&](int id) {
@@ -176,9 +102,11 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
     const int id = heap_.back();
     heap_.pop_back();
     ++repropagated_;
-    const double updated = recomputeArrival(id);
+    const double updated =
+        forwardStep(soa_, arrival_.data(), static_cast<std::uint32_t>(id))
+            .arrival;
     const double old = arrival_[static_cast<std::size_t>(id)];
-    if (std::abs(updated - old) > epsilon_) {
+    if (std::abs(updated - old) > 0.0) {
       save(id);
       arrival_[static_cast<std::size_t>(id)] = updated;
       for (const std::uint32_t fo :
@@ -210,12 +138,13 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
     const int id = heap_.back();
     heap_.pop_back();
     ++repropagated_;
-    const double updated = recomputeRequired(id);
+    const double updated = backwardStep(soa_, required_.data(), clock_,
+                                        static_cast<std::uint32_t>(id));
     const double old = required_[static_cast<std::size_t>(id)];
     // Infinities (unconstrained nodes) compare exactly; inf - inf is NaN.
-    const bool changed = (updated == kInf || old == kInf)
+    const bool changed = (updated == kUnconstrained || old == kUnconstrained)
                              ? updated != old
-                             : std::abs(updated - old) > epsilon_;
+                             : std::abs(updated - old) > 0.0;
     if (changed) {
       save(id);
       required_[static_cast<std::size_t>(id)] = updated;
@@ -230,7 +159,7 @@ void IncrementalSta::propagateDelayChange(const std::vector<int>& delayChanged) 
   // journaled set.
   for (const Saved& s : journal_) {
     const auto i = static_cast<std::size_t>(s.id);
-    slack_[i] = (required_[i] == kInf) ? clock_ : required_[i] - arrival_[i];
+    slack_[i] = slackOf(arrival_[i], required_[i], clock_);
   }
 }
 
@@ -247,10 +176,10 @@ void IncrementalSta::rollback() {
   if (!pending_) {
     throw std::logic_error("IncrementalSta::rollback: no pending trial");
   }
-  // Restoring the cell also restores both load-cap caches (same recompute
-  // path), so engine, mirror and netlist rewind together.
-  netlist_->replaceCell(pendingGate_, savedCell_);
-  soa_.setCell(static_cast<std::uint32_t>(pendingGate_), savedCell_);
+  // Restoring the cell re-sums the netlist's load caps, and the mirror
+  // copies them, so engine, mirror and netlist rewind together.
+  netlist_->replaceCell(pendingGate_, std::move(savedCell_));
+  soa_.setCell(static_cast<std::uint32_t>(pendingGate_), *netlist_);
   for (const Saved& s : journal_) {
     const auto i = static_cast<std::size_t>(s.id);
     arrival_[i] = s.arrival;
@@ -268,31 +197,13 @@ void IncrementalSta::apply(int gate, circuit::Cell cell) {
 }
 
 std::vector<int> IncrementalSta::criticalPath() const {
-  // Mirrors sta::analyze exactly: last maximum wins (>=) among endpoints
-  // and among fanins, walk stops at a primary input.
-  double critical = 0.0;
-  int end = -1;
-  for (const std::uint32_t id : soa_.outputs()) {
-    if (arrival_[id] >= critical) {
-      critical = arrival_[id];
-      end = static_cast<int>(id);
-    }
-  }
+  // Sta::analyze's walk: from the critical endpoint back along each node's
+  // worst fanin to a primary input (-1).
   std::vector<int> path;
-  if (end < 0) return path;
-  for (int cur = end; cur >= 0;) {
+  for (std::int32_t cur = criticalEndpoint(soa_, arrival_.data()).id; cur >= 0;
+       cur = forwardStep(soa_, arrival_.data(), static_cast<std::uint32_t>(cur))
+                 .worstFanin) {
     path.push_back(cur);
-    const auto u = static_cast<std::uint32_t>(cur);
-    if (!soa_.isGate(u)) break;
-    double worst = 0.0;
-    int worstId = -1;
-    for (const std::uint32_t f : soa_.fanins(u)) {
-      if (arrival_[f] >= worst) {
-        worst = arrival_[f];
-        worstId = static_cast<int>(f);
-      }
-    }
-    cur = worstId;
   }
   std::reverse(path.begin(), path.end());
   return path;
@@ -301,16 +212,12 @@ std::vector<int> IncrementalSta::criticalPath() const {
 TimingResult IncrementalSta::exportResult() const {
   TimingResult r;
   r.clockPeriod = clock_;
+  r.criticalPathDelay = criticalEndpoint(soa_, arrival_.data()).arrival;
   r.arrival = arrival_;
   r.required = required_;
   r.slack = slack_;
-  double critical = 0.0;
-  for (const std::uint32_t id : soa_.outputs()) {
-    critical = std::max(critical, arrival_[id]);
-  }
-  r.criticalPathDelay = critical;
-  r.worstSlack = worstSlack();
   r.criticalPath = criticalPath();
+  r.worstSlack = worstSlack();
   return r;
 }
 

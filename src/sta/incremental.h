@@ -9,18 +9,21 @@
 // sta::analyze — the difference between O(n^2) and near-O(n) optimizer
 // passes (paper Sections 2.3-3.3).
 //
-// Storage: the engine mirrors the netlist into a cell-less NetlistSoA at
-// construction/rebuild and walks flat CSR adjacency + delay-parameter
-// arrays during trials — no per-node pointer chasing — while every cell
-// swap is applied to the object netlist and the mirror in lockstep.
+// Storage: the engine owns a cell-less NetlistSoA mirror of the netlist,
+// built once at construction, and walks its flat CSR adjacency and delay
+// operands during trials — no per-node pointer chasing. Every cell swap
+// goes to the object netlist first; the mirror then copies the swapped
+// operands and the refreshed load caps from it (NetlistSoA::setCell).
 // Steady-state trials allocate nothing: the worklist, journal and epoch
 // arrays persist across trials and the mirror lives in an arena.
 //
-// Every per-node recomputation uses the same operations and summation
-// order as sta::analyze, and the default epsilon of 0 terminates on exact
-// equality, so the engine's state is bit-identical to a fresh full
-// analysis at all times. The optimizers rely on this: porting them onto
-// trial()/commit()/rollback() changes their wall time, not their results.
+// Every per-node recomputation calls the same step functions as Sta's
+// level sweeps (forwardStep, backwardStep, slackOf and the endpoint scans
+// in sta/sta.h), and propagation stops only where a recomputed value is
+// exactly unchanged, so the engine's state is bit-identical to a fresh
+// full analysis at all times. The optimizers rely on this: each builds
+// one engine on its working copy, reports its initial exportResult() as
+// timingBefore, and gets the same bits as a full sta::analyze.
 #pragma once
 
 #include <cstdint>
@@ -35,22 +38,14 @@ namespace nano::sta {
 /// Levelized timing engine with O(cone) cell-swap repropagation and
 /// trial/commit/rollback. Binds to a netlist by reference: the caller
 /// keeps the netlist alive and routes all cell swaps through the engine
-/// (external edits require rebuild()).
+/// (after any other edit, build a new engine).
 class IncrementalSta {
  public:
   /// Times `netlist` against `clockPeriod`; pass <= 0 to freeze the clock
   /// at the initial critical-path delay (like sta::analyze, but the clock
-  /// then stays fixed across subsequent swaps). `epsilon`: arrival /
-  /// required changes with |new - old| <= epsilon stop propagating; the
-  /// default 0 keeps the state exactly equal to a full reanalysis.
-  explicit IncrementalSta(circuit::Netlist& netlist, double clockPeriod = -1.0,
-                          double epsilon = 0.0);
-
-  /// Seed from an already computed full analysis of `netlist` (same
-  /// netlist, same clock) instead of re-running one — the optimizers hand
-  /// over their timingBefore. The seed must cover every node.
-  IncrementalSta(circuit::Netlist& netlist, const TimingResult& seed,
-                 double epsilon = 0.0);
+  /// then stays fixed across subsequent swaps). Throws
+  /// std::invalid_argument when the resolved clock is <= 0.
+  explicit IncrementalSta(circuit::Netlist& netlist, double clockPeriod = -1.0);
 
   [[nodiscard]] double clockPeriod() const { return clock_; }
   [[nodiscard]] double arrival(int id) const {
@@ -69,7 +64,9 @@ class IncrementalSta {
   }
 
   /// Swap `gate`'s cell and repropagate the affected cones, journaling
-  /// every touched value. Exactly one trial may be pending at a time.
+  /// every touched value. Exactly one trial may be pending at a time. If
+  /// Netlist::replaceCell rejects the swap, its exception propagates and
+  /// the engine is unchanged, with no trial pending.
   void trial(int gate, circuit::Cell cell);
   /// Keep the pending trial.
   void commit();
@@ -88,28 +85,19 @@ class IncrementalSta {
   /// sta::analyze(netlist, clockPeriod()) on the current netlist.
   [[nodiscard]] TimingResult exportResult() const;
 
-  /// Recompute everything from scratch (after netlist edits that bypassed
-  /// the engine, e.g. structural changes). Reuses the SoA mirror's arena.
-  void rebuild();
-
   /// Nodes repropagated over this engine's lifetime — the incremental
   /// work metric (compare against nodeCount() x trials for the full-STA
   /// equivalent).
   [[nodiscard]] std::int64_t nodesRepropagated() const { return repropagated_; }
 
  private:
-  void bindState(std::vector<double> arrival, std::vector<double> required,
-                 std::vector<double> slack);
   void propagateDelayChange(const std::vector<int>& delayChanged);
   /// Journal (id, arrival, required, slack) once per trial.
   void save(int id);
-  [[nodiscard]] double recomputeArrival(int id) const;
-  [[nodiscard]] double recomputeRequired(int id) const;
 
   circuit::Netlist* netlist_;
   circuit::NetlistSoA soa_;  ///< cell-less flat mirror, arena-backed
   double clock_ = 0.0;
-  double epsilon_ = 0.0;
   std::vector<double> arrival_;
   std::vector<double> required_;
   std::vector<double> slack_;

@@ -1,7 +1,6 @@
 #include "sta/sta.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "exec/exec.h"
@@ -13,8 +12,6 @@ using circuit::Netlist;
 using circuit::NetlistSoA;
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Levels at least this big sweep through the exec pool; smaller ones run
 /// serially (same bits either way — every node writes only its own slot).
@@ -33,7 +30,7 @@ const TimingResult& Sta::analyze(double clockPeriod) {
     worstFanin_ = arena_.allocateArray<std::int32_t>(n);
   }
   result_.arrival.assign(n, 0.0);
-  result_.required.assign(n, kInf);
+  result_.required.assign(n, kUnconstrained);
   result_.slack.assign(n, 0.0);
   result_.criticalPath.clear();
 
@@ -49,27 +46,13 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   const std::uint32_t levels = soa.levelCount();
 
   // Forward pass, level by level: a node's arrival reads only strictly
-  // shallower levels, so the nodes of one level are independent. The
-  // per-node arithmetic (fanin order, >= tie-break, delay expression) is
-  // exactly the historical object-walking loop's.
+  // shallower levels, so the nodes of one level are independent.
   const auto forwardRange = [ctx](std::size_t b, std::size_t e) {
-    const NetlistSoA& s = *ctx->soa;
     for (std::size_t k = b; k < e; ++k) {
       const std::uint32_t id = ctx->order[ctx->base + k];
-      if (!s.isGate(id)) {
-        ctx->worstFanin[id] = -1;
-        continue;
-      }
-      double worst = 0.0;
-      std::int32_t worstId = -1;
-      for (const std::uint32_t f : s.fanins(id)) {
-        if (ctx->arrival[f] >= worst) {
-          worst = ctx->arrival[f];
-          worstId = static_cast<std::int32_t>(f);
-        }
-      }
-      ctx->arrival[id] = worst + s.gateDelay(id);
-      ctx->worstFanin[id] = worstId;
+      const ArrivalStep step = forwardStep(*ctx->soa, ctx->arrival, id);
+      ctx->arrival[id] = step.arrival;
+      ctx->worstFanin[id] = step.worstFanin;
     }
   };
   for (std::uint32_t l = 0; l < levels; ++l) {
@@ -83,18 +66,9 @@ const TimingResult& Sta::analyze(double clockPeriod) {
     }
   }
 
-  // Critical endpoint / path delay (endpoint order preserved from the
-  // object netlist; last maximum wins, as before).
-  double critical = 0.0;
-  std::int32_t criticalEnd = -1;
-  for (const std::uint32_t id : soa.outputs()) {
-    if (result_.arrival[id] >= critical) {
-      critical = result_.arrival[id];
-      criticalEnd = static_cast<std::int32_t>(id);
-    }
-  }
-  result_.criticalPathDelay = critical;
-  result_.clockPeriod = clockPeriod > 0 ? clockPeriod : critical;
+  const CriticalEndpoint end = criticalEndpoint(soa, result_.arrival.data());
+  result_.criticalPathDelay = end.arrival;
+  result_.clockPeriod = clockPeriod > 0 ? clockPeriod : end.arrival;
   ctx_.clock = result_.clockPeriod;
 
   // Backward pass, deepest level first: a node's required time reads only
@@ -102,14 +76,10 @@ const TimingResult& Sta::analyze(double clockPeriod) {
   // re-expressed as a gather; min over doubles is exact, so the result is
   // bit-identical regardless of accumulation order.
   const auto backwardRange = [ctx](std::size_t b, std::size_t e) {
-    const NetlistSoA& s = *ctx->soa;
     for (std::size_t k = b; k < e; ++k) {
       const std::uint32_t id = ctx->order[ctx->base + k];
-      double req = s.isOutput(id) ? ctx->clock : kInf;
-      for (const std::uint32_t fo : s.fanouts(id)) {
-        req = std::min(req, ctx->required[fo] - s.gateDelay(fo));
-      }
-      ctx->required[id] = req;
+      ctx->required[id] =
+          backwardStep(*ctx->soa, ctx->required, ctx->clock, id);
     }
   };
   for (std::uint32_t l = levels; l-- > 0;) {
@@ -123,11 +93,9 @@ const TimingResult& Sta::analyze(double clockPeriod) {
     }
   }
 
-  // Slack.
   const auto slackRange = [ctx](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      const double req = ctx->required[i];
-      ctx->slack[i] = (req == kInf) ? ctx->clock : req - ctx->arrival[i];
+      ctx->slack[i] = slackOf(ctx->arrival[i], ctx->required[i], ctx->clock);
     }
   };
   if (n >= kParallelLevelThreshold) {
@@ -136,19 +104,13 @@ const TimingResult& Sta::analyze(double clockPeriod) {
     slackRange(0, n);
   }
 
-  // Worst endpoint slack and critical path extraction.
-  result_.worstSlack = kInf;
-  for (const std::uint32_t id : soa.outputs()) {
-    result_.worstSlack = std::min(result_.worstSlack, result_.slack[id]);
+  result_.worstSlack = worstEndpointSlack(soa, result_.slack.data());
+  // Critical path: follow the worst fanins back to a primary input (-1).
+  for (std::int32_t cur = end.id; cur >= 0;
+       cur = worstFanin_[static_cast<std::uint32_t>(cur)]) {
+    result_.criticalPath.push_back(cur);
   }
-  if (criticalEnd >= 0) {
-    for (std::int32_t cur = criticalEnd; cur >= 0;
-         cur = worstFanin_[static_cast<std::uint32_t>(cur)]) {
-      result_.criticalPath.push_back(cur);
-      if (!soa.isGate(static_cast<std::uint32_t>(cur))) break;
-    }
-    std::reverse(result_.criticalPath.begin(), result_.criticalPath.end());
-  }
+  std::reverse(result_.criticalPath.begin(), result_.criticalPath.end());
 
   NANO_OBS_GAUGE("sta/arena_bytes", static_cast<double>(arenaBytes()));
   return result_;
@@ -162,16 +124,6 @@ TimingResult analyze(const NetlistSoA& soa, double clockPeriod) {
 TimingResult analyze(const Netlist& netlist, double clockPeriod) {
   const NetlistSoA soa(netlist, {.keepCells = false});
   return analyze(soa, clockPeriod);
-}
-
-std::vector<double> endpointArrivals(const Netlist& netlist) {
-  const TimingResult r = analyze(netlist);
-  std::vector<double> out;
-  out.reserve(netlist.outputs().size());
-  for (int id : netlist.outputs()) {
-    out.push_back(r.arrival[static_cast<std::size_t>(id)]);
-  }
-  return out;
 }
 
 double fractionOfPathsFasterThan(const TimingResult& timing,

@@ -10,9 +10,16 @@
 // count. The object-netlist overloads are thin wrappers that mirror into
 // SoA form first; their results are bit-identical to the historical
 // pointer-walking implementation.
+//
+// The per-node steps below (forward, backward, slack, endpoint scans) are
+// the only copy of the timing formulas: Sta's level sweeps and
+// IncrementalSta's cone worklists (sta/incremental.h) both call them, so
+// the two engines agree to the last bit by construction.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "circuit/netlist.h"
@@ -36,6 +43,80 @@ struct TimingResult {
     return worstSlack >= -tolerance;
   }
 };
+
+/// Required time of a node that no endpoint constrains.
+inline constexpr double kUnconstrained =
+    std::numeric_limits<double>::infinity();
+
+/// A node's arrival and the fanin that set it (-1 at a primary input).
+struct ArrivalStep {
+  double arrival = 0.0;
+  std::int32_t worstFanin = -1;
+};
+
+/// Forward step: the last maximum (>=) of the fanin arrivals, clamped at
+/// 0, plus the gate's delay. Primary inputs arrive at 0.
+inline ArrivalStep forwardStep(const circuit::NetlistSoA& soa,
+                               const double* arrival, std::uint32_t id) {
+  ArrivalStep step;
+  if (!soa.isGate(id)) return step;
+  double worst = 0.0;
+  for (const std::uint32_t f : soa.fanins(id)) {
+    if (arrival[f] >= worst) {
+      worst = arrival[f];
+      step.worstFanin = static_cast<std::int32_t>(f);
+    }
+  }
+  step.arrival = worst + soa.gateDelay(id);
+  return step;
+}
+
+/// Backward step: the minimum over fanouts of their required time minus
+/// their delay, starting from `clock` at an endpoint.
+inline double backwardStep(const circuit::NetlistSoA& soa,
+                           const double* required, double clock,
+                           std::uint32_t id) {
+  double req = soa.isOutput(id) ? clock : kUnconstrained;
+  for (const std::uint32_t fo : soa.fanouts(id)) {
+    req = std::min(req, required[fo] - soa.gateDelay(fo));
+  }
+  return req;
+}
+
+/// Slack of a node; an unconstrained node gets the whole clock.
+inline double slackOf(double arrival, double required, double clock) {
+  return required == kUnconstrained ? clock : required - arrival;
+}
+
+/// The latest-arriving endpoint (id -1 when there is none).
+struct CriticalEndpoint {
+  double arrival = 0.0;
+  std::int32_t id = -1;
+};
+
+/// Endpoint scan for the critical endpoint: the last maximum (>=) in
+/// output order.
+inline CriticalEndpoint criticalEndpoint(const circuit::NetlistSoA& soa,
+                                         const double* arrival) {
+  CriticalEndpoint end;
+  for (const std::uint32_t id : soa.outputs()) {
+    if (arrival[id] >= end.arrival) {
+      end.arrival = arrival[id];
+      end.id = static_cast<std::int32_t>(id);
+    }
+  }
+  return end;
+}
+
+/// Endpoint scan for the worst slack (infinity when there is no endpoint).
+inline double worstEndpointSlack(const circuit::NetlistSoA& soa,
+                                 const double* slack) {
+  double worst = kUnconstrained;
+  for (const std::uint32_t id : soa.outputs()) {
+    worst = std::min(worst, slack[id]);
+  }
+  return worst;
+}
 
 /// Reusable full-analysis engine over a NetlistSoA. Binds by reference;
 /// the caller keeps the SoA alive. All working storage (the level-sweep
@@ -92,9 +173,6 @@ TimingResult analyze(const circuit::NetlistSoA& soa, double clockPeriod = -1.0);
 /// Pass clockPeriod <= 0 to time against the circuit's own critical-path
 /// delay (zero worst slack).
 TimingResult analyze(const circuit::Netlist& netlist, double clockPeriod = -1.0);
-
-/// Arrival times at the endpoints (primary outputs), s.
-std::vector<double> endpointArrivals(const circuit::Netlist& netlist);
 
 /// Fraction of endpoints whose path uses less than `fraction` of the clock
 /// period (the paper's slack-profile statistic).

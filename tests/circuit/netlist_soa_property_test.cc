@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "circuit/generator.h"
@@ -115,6 +116,9 @@ TEST_P(SoaPropertyTest, LevelScheduleCoversAndRespectsTopology) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SoaPropertyTest,
                          ::testing::Values(100, 1000, 10000, 100000));
 
+// After each replaceCell + setCell, every timing operand of the mirror
+// equals a mirror rebuilt from scratch: setCell copies everything a swap
+// changes (the gate's operands and its fanins' loads) and nothing else.
 TEST(NetlistSoATest, SetCellTracksReplaceCellBitForBit) {
   Netlist nl = makeRandom(2000, 42);
   NetlistSoA soa(nl);
@@ -128,13 +132,30 @@ TEST(NetlistSoATest, SetCellTracksReplaceCellBitForBit) {
         node.cell.function, node.cell.drive * rng.uniform(0.5, 2.0),
         node.cell.vth, node.cell.vddDomain);
     nl.replaceCell(g, swapped);
-    soa.setCell(static_cast<std::uint32_t>(g), swapped);
+    soa.setCell(static_cast<std::uint32_t>(g), nl);
     const auto u = static_cast<std::uint32_t>(g);
     ASSERT_EQ(soa.gateDelay(u), nl.node(g).cell.delay(nl.loadCap(g)));
+    ASSERT_EQ(soa.cell(u).drive, swapped.drive);
     for (int f : nl.node(g).fanins) {
-      ASSERT_EQ(soa.loadCap(static_cast<std::uint32_t>(f)), nl.loadCap(f));
+      const auto fu = static_cast<std::uint32_t>(f);
+      ASSERT_EQ(soa.loadCap(fu), nl.loadCap(f));
+      ASSERT_EQ(soa.gateDelay(fu),
+                nl.node(f).kind == Netlist::NodeKind::Gate
+                    ? nl.node(f).cell.delay(nl.loadCap(f))
+                    : 0.0);
+    }
+    if (trial % 50 == 49) {
+      const NetlistSoA fresh(nl, {.keepCells = false});
+      for (std::uint32_t id = 0; id < soa.nodeCount(); ++id) {
+        ASSERT_EQ(soa.loadCap(id), fresh.loadCap(id)) << "node " << id;
+        ASSERT_EQ(soa.driveResistance(id), fresh.driveResistance(id));
+        ASSERT_EQ(soa.selfCap(id), fresh.selfCap(id));
+        ASSERT_EQ(soa.inputCap(id), fresh.inputCap(id));
+      }
     }
   }
+  ASSERT_FALSE(soa.isGate(0));
+  EXPECT_THROW(soa.setCell(0, nl), std::invalid_argument);
 }
 
 TEST(NetlistSoATest, RebuildReusesArenaAtSteadyState) {

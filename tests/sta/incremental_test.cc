@@ -169,11 +169,38 @@ TEST(IncrementalSta, MisuseThrows) {
   inc.trial(g, lib().recorner(nl.node(g).cell, VthClass::High,
                               nl.node(g).cell.vddDomain));
   EXPECT_THROW(inc.trial(g, nl.node(g).cell), std::logic_error);
-  EXPECT_THROW(inc.rebuild(), std::logic_error);
   inc.rollback();
+}
 
-  Netlist other = makeNetlist(100, 2);
-  EXPECT_THROW(IncrementalSta(other, -1.0, -0.5), std::invalid_argument);
+TEST(IncrementalSta, RejectedSwapLeavesNoTrialPending) {
+  Netlist nl = makeNetlist(200, 11);
+  IncrementalSta inc(nl);
+  const int g = nl.gateIds().front();
+  const Cell original = nl.node(g).cell;
+  const Cell otherFunction = lib().pick(
+      original.function == circuit::CellFunction::Inv
+          ? circuit::CellFunction::Nand2
+          : circuit::CellFunction::Inv,
+      original.drive, original.vth, original.vddDomain);
+  EXPECT_THROW(inc.trial(g, otherFunction), std::invalid_argument);
+  EXPECT_FALSE(inc.hasPendingTrial());
+  EXPECT_EQ(nl.node(g).cell.function, original.function);
+
+  // The engine takes the next valid trial and rolls it back cleanly.
+  inc.trial(g, lib().recorner(original, VthClass::High, original.vddDomain));
+  EXPECT_TRUE(inc.hasPendingTrial());
+  inc.rollback();
+  EXPECT_FALSE(inc.hasPendingTrial());
+  EXPECT_EQ(nl.node(g).cell.vth, original.vth);
+  expectMatchesFullAnalysis(inc, nl);
+}
+
+TEST(IncrementalSta, RejectsANonPositiveResolvedClock) {
+  // A lone primary input as the only endpoint: critical delay 0.
+  Netlist nl;
+  nl.markOutput(nl.addInput());
+  EXPECT_THROW(IncrementalSta inc(nl), std::invalid_argument);
+  EXPECT_THROW(IncrementalSta inc(nl, 0.0), std::invalid_argument);
 }
 
 TEST(IncrementalSta, FrozenClockStaysFixedAcrossSwaps) {

@@ -217,49 +217,5 @@ TEST(IncrementalEquivalenceTest, RandomSwapScriptStaysBitIdentical) {
   }
 }
 
-TEST(IncrementalEquivalenceTest, SeededConstructorMatchesSelfAnalyzed) {
-  Netlist a = makeNetlist(1200, 55);
-  Netlist b = a;
-  const TimingResult seed = analyze(a);
-  IncrementalSta fromSeed(a, seed);
-  IncrementalSta selfAnalyzed(b, seed.clockPeriod);
-  EXPECT_EQ(fromSeed.clockPeriod(), selfAnalyzed.clockPeriod());
-  expectBitEqual(fromSeed.exportResult().arrival,
-                 selfAnalyzed.exportResult().arrival, "arrival");
-  expectBitEqual(fromSeed.exportResult().slack,
-                 selfAnalyzed.exportResult().slack, "slack");
-
-  // Identical swap scripts evolve identically.
-  util::Rng rngA(9), rngB(9);
-  const auto gates = a.gateIds();
-  for (int trial = 0; trial < 40; ++trial) {
-    const int g = gates[static_cast<std::size_t>(
-        rngA.uniformInt(0, static_cast<int>(gates.size()) - 1))];
-    (void)rngB.uniformInt(0, static_cast<int>(gates.size()) - 1);
-    const auto& node = a.node(g);
-    const double scale = rngA.uniform(0.6, 1.8);
-    (void)rngB.uniform(0.6, 1.8);
-    const circuit::Cell cand = lib().generateCustom(
-        node.cell.function, node.cell.drive * scale, node.cell.vth,
-        node.cell.vddDomain);
-    fromSeed.apply(g, cand);
-    selfAnalyzed.apply(g, cand);
-  }
-  expectBitEqual(fromSeed.exportResult().slack,
-                 selfAnalyzed.exportResult().slack, "slack after script");
-  expectResultsBitEqual(fromSeed.exportResult(), selfAnalyzed.exportResult());
-}
-
-TEST(IncrementalEquivalenceTest, SeededConstructorRejectsBadSeeds) {
-  Netlist nl = makeNetlist(300, 2);
-  TimingResult seed = analyze(nl);
-  TimingResult truncated = seed;
-  truncated.arrival.pop_back();
-  EXPECT_THROW(IncrementalSta(nl, truncated), std::invalid_argument);
-  TimingResult noClock = seed;
-  noClock.clockPeriod = 0.0;
-  EXPECT_THROW(IncrementalSta(nl, noClock), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace nano::sta

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuit/generator.h"
+#include "sta/incremental.h"
 
 namespace nano::sta {
 namespace {
@@ -117,12 +120,34 @@ TEST(Sta, PathDelayHistogramNormalized) {
   EXPECT_NEAR(h.cumulativeBelow(1.01), 1.0, 1e-12);
 }
 
-TEST(Sta, EndpointArrivalsMatchAnalyze) {
-  const Netlist nl = circuit::inverterChain(lib(), 3);
-  const auto arr = endpointArrivals(nl);
-  const TimingResult t = analyze(nl);
-  ASSERT_EQ(arr.size(), 1u);
-  EXPECT_DOUBLE_EQ(arr[0], t.criticalPathDelay);
+// Equal arrivals go to the last candidate, both among the endpoints (in
+// output order) and among a gate's fanins; IncrementalSta shares the rule.
+TEST(Sta, TiesGoToTheLastEndpointAndTheLastFanin) {
+  const circuit::Cell inv = lib().pick(CellFunction::Inv, 1.0);
+  const Netlist chain = circuit::inverterChain(lib(), 1);
+  auto twoInverters = [&](Netlist& nl) {
+    const int in = nl.addInput();
+    return std::vector<int>{in, nl.addGate(inv, {in}), nl.addGate(inv, {in})};
+  };
+
+  Netlist ends(chain.wireCapPerFanout(), chain.outputLoadCap());
+  const std::vector<int> e = twoInverters(ends);
+  ends.markOutput(e[1]);
+  ends.markOutput(e[2]);
+  const TimingResult t = analyze(ends);
+  ASSERT_EQ(t.arrival[static_cast<std::size_t>(e[1])],
+            t.arrival[static_cast<std::size_t>(e[2])]);
+  EXPECT_EQ(t.criticalPath, (std::vector<int>{e[0], e[2]}));
+  EXPECT_EQ(IncrementalSta(ends).criticalPath(), t.criticalPath);
+
+  Netlist fanins(chain.wireCapPerFanout(), chain.outputLoadCap());
+  const std::vector<int> f = twoInverters(fanins);
+  const int nand =
+      fanins.addGate(lib().pick(CellFunction::Nand2, 1.0), {f[1], f[2]});
+  fanins.markOutput(nand);
+  const TimingResult u = analyze(fanins);
+  EXPECT_EQ(u.criticalPath, (std::vector<int>{f[0], f[2], nand}));
+  EXPECT_EQ(IncrementalSta(fanins).criticalPath(), u.criticalPath);
 }
 
 TEST(Sta, BiggerLoadSlowsPath) {
