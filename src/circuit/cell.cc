@@ -130,13 +130,6 @@ CellCharacterizer::CellCharacterizer(const tech::TechNode& node, double vthLow,
   }
 }
 
-CellCharacterizer CellCharacterizer::forNode(const tech::TechNode& node,
-                                             double temperature) {
-  const double vthLow = device::solveVthForIon(node, node.ionTarget);
-  return CellCharacterizer(node, vthLow, vthLow + kDualVthOffset, node.vdd,
-                           kCvsVddLowRatio * node.vdd, temperature);
-}
-
 double CellCharacterizer::vddOf(VddDomain domain) const {
   return domain == VddDomain::High ? vddHigh_ : vddLow_;
 }
@@ -164,11 +157,6 @@ Cell CellCharacterizer::characterize(CellFunction function, double drive,
   cell.leakage = leakageFactorOf(function) * drive * unit.leakage *
                  static_cast<double>(faninOf(function));
   cell.area = unit.area * drive * (0.7 + 0.5 * faninOf(function));
-
-  cell.name = std::string(nameOf(function)) + "_X" +
-              std::to_string(drive).substr(0, 4) +
-              (vth == VthClass::High ? "_HVT" : "_LVT") +
-              (domain == VddDomain::Low ? "_VL" : "");
   return cell;
 }
 

@@ -4,7 +4,6 @@
 // (paper Sections 2.4, 3.2, 3.3) can swap them per gate.
 #pragma once
 
-#include <string>
 
 #include "device/gate_model.h"
 #include "tech/itrs.h"
@@ -51,7 +50,6 @@ enum class VddDomain { High, Low };
 /// One characterized cell instance. Value type: gates own their cell, so
 /// on-the-fly generated sizes (paper Section 2.3) need no registry.
 struct Cell {
-  std::string name;
   CellFunction function = CellFunction::Inv;
   VthClass vth = VthClass::Low;
   VddDomain vddDomain = VddDomain::High;
@@ -80,12 +78,6 @@ class CellCharacterizer {
   /// makeDualVth() or custom values.
   CellCharacterizer(const tech::TechNode& node, double vthLow, double vthHigh,
                     double vddHigh, double vddLow, double temperature = 300.0);
-
-  /// Default flavors for a node: low Vth meets the Ion target; high Vth is
-  /// +100 mV (the paper's dual-Vth offset). Vdd,l = 0.65 * Vdd,h (the CVS
-  /// optimum the paper quotes).
-  static CellCharacterizer forNode(const tech::TechNode& node,
-                                   double temperature = 300.0);
 
   [[nodiscard]] const tech::TechNode& node() const { return *node_; }
   [[nodiscard]] double vddOf(VddDomain domain) const;

@@ -260,132 +260,4 @@ Netlist koggeStoneAdder(const Library& library, int bits) {
   return nl;
 }
 
-Netlist arrayMultiplier(const Library& library, int bits) {
-  if (bits < 2) throw std::invalid_argument("arrayMultiplier: bits < 2");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
-  const Cell& nand = library.pick(CellFunction::Nand2, 1.0);
-  const Cell& inv = library.pick(CellFunction::Inv, 1.0);
-
-  std::vector<int> a(static_cast<std::size_t>(bits));
-  std::vector<int> b(static_cast<std::size_t>(bits));
-  for (int i = 0; i < bits; ++i) a[static_cast<std::size_t>(i)] = nl.addInput();
-  for (int i = 0; i < bits; ++i) b[static_cast<std::size_t>(i)] = nl.addInput();
-
-  auto andGate = [&](int x, int y) {
-    return nl.addGate(inv, {nl.addGate(nand, {x, y})});
-  };
-  // 9-NAND full adder (same decomposition as rippleCarryAdder).
-  auto fullAdder = [&](int x, int y, int cin) {
-    const int n1 = nl.addGate(nand, {x, y});
-    const int n2 = nl.addGate(nand, {x, n1});
-    const int n3 = nl.addGate(nand, {y, n1});
-    const int n4 = nl.addGate(nand, {n2, n3});
-    const int n5 = nl.addGate(nand, {n4, cin});
-    const int n6 = nl.addGate(nand, {n4, n5});
-    const int n7 = nl.addGate(nand, {cin, n5});
-    const int sum = nl.addGate(nand, {n6, n7});
-    const int cout = nl.addGate(nand, {n5, n1});
-    return std::pair<int, int>{sum, cout};
-  };
-  // Half adder: sum = XOR via 4 NAND, carry = AND.
-  auto halfAdder = [&](int x, int y) {
-    const int n1 = nl.addGate(nand, {x, y});
-    const int n2 = nl.addGate(nand, {x, n1});
-    const int n3 = nl.addGate(nand, {y, n1});
-    const int sum = nl.addGate(nand, {n2, n3});
-    const int carry = nl.addGate(inv, {n1});
-    return std::pair<int, int>{sum, carry};
-  };
-
-  // Row 0: partial products a_i * b_0. Bit 0 is product bit 0; the rest
-  // seed the running accumulator `acc`, where acc[i] holds weight j+i at
-  // the start of row j.
-  {
-    std::vector<int> pp0(static_cast<std::size_t>(bits));
-    for (int i = 0; i < bits; ++i) {
-      pp0[static_cast<std::size_t>(i)] =
-          andGate(a[static_cast<std::size_t>(i)], b[0]);
-    }
-    nl.markOutput(pp0[0]);
-    std::vector<int> acc(pp0.begin() + 1, pp0.end());
-
-    for (int j = 1; j < bits; ++j) {
-      std::vector<int> pp(static_cast<std::size_t>(bits));
-      for (int i = 0; i < bits; ++i) {
-        pp[static_cast<std::size_t>(i)] = andGate(
-            a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(j)]);
-      }
-      // Ripple row: sum pp[i] + acc[i] + carry at weight j+i.
-      std::vector<int> sums(static_cast<std::size_t>(bits));
-      int carry = -1;
-      for (int i = 0; i < bits; ++i) {
-        const int x = pp[static_cast<std::size_t>(i)];
-        const int y =
-            i < static_cast<int>(acc.size()) ? acc[static_cast<std::size_t>(i)]
-                                             : -1;
-        if (y < 0 && carry < 0) {
-          sums[static_cast<std::size_t>(i)] = x;
-        } else if (y < 0 || carry < 0) {
-          const auto [s, c] = halfAdder(x, y < 0 ? carry : y);
-          sums[static_cast<std::size_t>(i)] = s;
-          carry = c;
-        } else {
-          const auto [s, c] = fullAdder(x, y, carry);
-          sums[static_cast<std::size_t>(i)] = s;
-          carry = c;
-        }
-      }
-      nl.markOutput(sums[0]);  // product bit j
-      acc.assign(sums.begin() + 1, sums.end());
-      if (carry >= 0) acc.push_back(carry);  // weight j+bits
-      if (j == bits - 1) {
-        for (int id : acc) nl.markOutput(id);  // product bits j+1..2N-1
-      }
-    }
-  }
-  nl.validate();
-  return nl;
-}
-
-Netlist inverterChain(const Library& library, int length, double drive) {
-  if (length < 1) throw std::invalid_argument("inverterChain: length < 1");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
-  const Cell& inv = library.pick(CellFunction::Inv, drive);
-  int prev = nl.addInput();
-  for (int i = 0; i < length; ++i) prev = nl.addGate(inv, {prev});
-  nl.markOutput(prev);
-  nl.validate();
-  return nl;
-}
-
-Netlist bufferTree(const Library& library, int leaves, int branching) {
-  if (leaves < 1 || branching < 2) {
-    throw std::invalid_argument("bufferTree: bad shape");
-  }
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
-  const Cell& buf = library.pick(CellFunction::Buf, 2.0);
-  std::vector<int> frontier = {nl.addInput()};
-  while (static_cast<int>(frontier.size()) < leaves) {
-    std::vector<int> next;
-    for (int id : frontier) {
-      for (int k = 0; k < branching &&
-                      static_cast<int>(next.size() + frontier.size()) <= leaves * branching;
-           ++k) {
-        next.push_back(nl.addGate(buf, {id}));
-      }
-    }
-    frontier = std::move(next);
-  }
-  frontier.resize(static_cast<std::size_t>(leaves));
-  for (int id : frontier) nl.markOutput(id);
-  nl.validate();
-  return nl;
-}
-
 }  // namespace nano::circuit

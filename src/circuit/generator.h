@@ -1,7 +1,7 @@
 // Synthetic netlist generators: random DAG logic with a controllable depth
 // profile (the stand-in for MPU functional blocks; see DESIGN.md's
-// substitutions table), plus structured circuits (ripple-carry adder,
-// inverter chains, buffer trees) for tests and examples.
+// substitutions table), plus structured circuits (ripple-carry and
+// Kogge-Stone adders) for benches and examples.
 #pragma once
 
 #include "circuit/library.h"
@@ -57,15 +57,5 @@ Netlist rippleCarryAdder(const Library& library, int bits);
 /// O(log N) logic depth at O(N log N) gates — the classic speed/area
 /// counterpoint to the ripple design. 2N+1 inputs, N+1 outputs.
 Netlist koggeStoneAdder(const Library& library, int bits);
-
-/// N x N array multiplier (AND partial products + ripple reduction rows):
-/// O(N^2) gates with an O(N) diagonal critical path. 2N inputs, 2N outputs.
-Netlist arrayMultiplier(const Library& library, int bits);
-
-/// A chain of `length` inverters (drive `drive`), 1 input, 1 output.
-Netlist inverterChain(const Library& library, int length, double drive = 1.0);
-
-/// Balanced buffer tree distributing 1 input to `leaves` outputs.
-Netlist bufferTree(const Library& library, int leaves, int branching = 4);
 
 }  // namespace nano::circuit

@@ -31,7 +31,9 @@ int Netlist::addInput() {
 
 int Netlist::addGate(Cell cell, std::vector<int> fanins) {
   if (static_cast<int>(fanins.size()) != cell.fanin()) {
-    throw std::invalid_argument("addGate: fanin count mismatch for " + cell.name);
+    throw std::invalid_argument(
+        std::string("addGate: fanin count mismatch for ") +
+        nameOf(cell.function));
   }
   const int id = nodeCount();
   for (int f : fanins) {

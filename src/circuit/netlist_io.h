@@ -1,7 +1,6 @@
-// Plain-text netlist serialization. A small, line-oriented format so
-// designs can be saved, diffed and reloaded; cells are stored as their
-// (function, drive, Vth, Vdd-domain) corner and re-characterized against a
-// library on load.
+// Plain-text netlist serialization: a small, line-oriented format that
+// prints a design so it can be diffed or fingerprinted. Cells are written
+// as their (function, drive, Vth, Vdd-domain) corner.
 //
 //   # comment
 //   netlist wirecap <F/fanout> outload <F>
@@ -9,24 +8,18 @@
 //   gate <id> <FUNCTION> drive <x> vth <low|high> vdd <high|low> fanins <id...>
 //   output <id>
 //
-// Node ids must appear in topological order (inputs/gates before use),
+// Node ids appear in topological order (inputs/gates before use),
 // matching the in-memory construction discipline.
 #pragma once
 
 #include <iosfwd>
 
-#include "circuit/library.h"
 #include "circuit/netlist.h"
 
 namespace nano::circuit {
 
-/// Serialize `netlist` to `os`.
+/// Serialize `netlist` to `os`. Doubles are written at precision 17, so
+/// equal netlists give equal bytes.
 void writeNetlist(std::ostream& os, const Netlist& netlist);
-
-/// Parse a netlist from `is`, re-characterizing every cell with
-/// `library`'s characterizer (exact drives are honored via on-the-fly
-/// generation). Throws std::runtime_error with a line number on malformed
-/// input.
-Netlist readNetlist(std::istream& is, const Library& library);
 
 }  // namespace nano::circuit

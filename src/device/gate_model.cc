@@ -93,11 +93,6 @@ double InverterModel::leakagePower() const {
   return vdd_ * ioffPerWidth * widthEff;
 }
 
-InverterModel referenceInverter(const tech::TechNode& node, double temperature) {
-  const double vth = solveVthForIon(node, node.ionTarget);
-  return InverterModel(node, vth, node.vdd, GateGeometry{}, temperature);
-}
-
 double staticToDynamicRatio(const tech::TechNode& node, double activity,
                             double temperature, double vddOverride) {
   if (activity <= 0) throw std::invalid_argument("staticToDynamicRatio: activity <= 0");

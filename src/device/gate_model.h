@@ -72,12 +72,6 @@ class InverterModel {
   double wp_;
 };
 
-/// FO4-with-average-wire inverter for a roadmap node at its nominal supply
-/// and the Vth that meets the node's Ion target; the building block of
-/// Figure 1.
-InverterModel referenceInverter(const tech::TechNode& node,
-                                double temperature = 300.0);
-
 /// Ratio of static to dynamic power for the reference inverter at a given
 /// switching activity (Figure 1's y-axis). `vddOverride` selects the
 /// 50 nm @ 0.7 V variant; the clock is the node's local clock.

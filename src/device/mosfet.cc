@@ -104,15 +104,6 @@ double Mosfet::idsat0(double vgs, double vds) const {
   return (mu * cox / (2.0 * params_.leff)) * vgt * vgt / (1.0 + vgt / esatL);
 }
 
-double Mosfet::ionFirstOrder(double vgs) const {
-  const double i0 = idsat0(vgs);
-  const double vth = vthEffective(params_.vddReference);
-  const double vgt = smoothedOverdrive(vgs, vth);
-  const double esatL = esat(vgs) * params_.leff;
-  const double irs = i0 * params_.rsOhmM;
-  return i0 * (1.0 - 2.0 * irs / vgt + irs / (vgt + esatL));
-}
-
 double Mosfet::ionSelfConsistent(double vgs, double vds) const {
   // Solve I = Idsat0(vgs - I*Rs): the source resistance debiases the gate.
   if (!std::isfinite(vgs)) return std::nan("");

@@ -96,13 +96,10 @@ class Mosfet {
   /// operating point (defaults to the reference Vdd).
   [[nodiscard]] double idsat0(double vgs, double vds = -1.0) const;
 
-  /// Eq. (2): first-order source-resistance correction as printed in the
-  /// paper. Can be inaccurate (even negative) when Idsat0*Rs is a large
-  /// fraction of Vgs-Vth; prefer ionSelfConsistent() for nanometer nodes.
-  [[nodiscard]] double ionFirstOrder(double vgs) const;
-
   /// Source-resistance-degenerated on-current solved self-consistently:
-  /// I = Idsat0(Vgs - I*Rs). Agrees with ionFirstOrder() to first order.
+  /// I = Idsat0(Vgs - I*Rs), in place of the paper's first-order Eq. (2),
+  /// which can go inaccurate (even negative) when Idsat0*Rs is a large
+  /// fraction of Vgs-Vth.
   /// `vds` sets the DIBL operating point (default: the reference Vdd); pass
   /// the actual operating supply when studying reduced-Vdd operation
   /// (Figures 3-4). Solved with the bracketed Illinois iteration shared

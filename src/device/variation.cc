@@ -14,12 +14,6 @@ double vthSigma(const tech::TechNode& node, double width, double avt) {
   return avt / std::sqrt(width * node.leff);
 }
 
-double meanLeakageAmplification(double sigma, double swing) {
-  if (swing <= 0) throw std::invalid_argument("meanLeakageAmplification: swing");
-  const double s = sigma * std::log(10.0) / swing;
-  return std::exp(0.5 * s * s);
-}
-
 LeakageSpread sampleLeakageSpread(const tech::TechNode& node, double vth,
                                   double width, util::Rng& rng, int samples,
                                   double avt) {

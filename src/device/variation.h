@@ -18,10 +18,6 @@ inline constexpr double kPelgromAvt = 3.0e-9;
 double vthSigma(const tech::TechNode& node, double width,
                 double avt = kPelgromAvt);
 
-/// Closed form: mean leakage amplification of a lognormal Ioff when Vth ~
-/// N(vth, sigma^2) through Eq. (4): exp(0.5 * (sigma*ln10/S)^2).
-double meanLeakageAmplification(double sigma, double swing);
-
 /// Monte-Carlo summary of per-device leakage under Vth variation.
 struct LeakageSpread {
   double meanAmplification = 0.0;   ///< mean(Ioff) / Ioff(mean Vth)

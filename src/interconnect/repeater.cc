@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "interconnect/elmore.h"
 #include "obs/obs.h"
 #include "util/numeric.h"
 #include "util/units.h"

@@ -1,7 +1,5 @@
 #include "interconnect/rlc.h"
 
-#include "interconnect/elmore.h"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -14,6 +12,14 @@ using namespace nano::units;
 
 namespace {
 constexpr double kMu0 = 4.0e-7 * 3.14159265358979323846;  // H/m
+}
+
+double distributedLineDelay(const WireRc& rc, double length, double rdrv,
+                            double cload) {
+  const double r = rc.resistancePerM * length;
+  const double c = rc.totalCapPerM() * length;
+  // Sakurai's 50% delay fit for driver + distributed line + load.
+  return 0.377 * r * c + 0.693 * (rdrv * c + rdrv * cload + r * cload);
 }
 
 WireL computeWireL(const WireGeometry& g, double returnDistance) {

@@ -11,6 +11,12 @@
 
 namespace nano::interconnect {
 
+/// Closed-form 50 % delay of a distributed RC line driven by `rdrv` and
+/// loaded by `cload` (Sakurai): 0.377*R*C*L^2-style plus boundary terms.
+/// The tests check it against the D2M delay of a finely segmented RC tree.
+double distributedLineDelay(const WireRc& rc, double length, double rdrv,
+                            double cload);
+
 /// Per-length inductive parameters of a wire in its return environment.
 struct WireL {
   double selfInductancePerM = 0.0;    ///< H/m, partial self inductance

@@ -17,6 +17,13 @@ std::int64_t monotonicNowNs() {
       .count();
 }
 
+/// Queue one framed line the way the stdin server's std::getline loop
+/// does: CRLF input loses its CR, and empty lines are skipped.
+void pushLine(std::deque<std::string>& lines, std::string line) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (!line.empty()) lines.push_back(std::move(line));
+}
+
 }  // namespace
 
 NetServer::NetServer(svc::Service& service, NetServerOptions options,
@@ -197,6 +204,10 @@ void NetServer::readInto(Connection& c) {
       return;
     }
     if (got == 0) {
+      // The client's last line may lack its newline; std::getline answers
+      // such a line in stdin mode, so frame it here too.
+      pushLine(c.pendingLines, std::move(c.readBuf));
+      c.readBuf.clear();
       c.inputEof = true;
       break;
     }
@@ -205,10 +216,8 @@ void NetServer::readInto(Connection& c) {
     c.readBuf.append(buf, static_cast<std::size_t>(got));
     std::size_t pos;
     while ((pos = c.readBuf.find('\n')) != std::string::npos) {
-      std::string line = c.readBuf.substr(0, pos);
+      pushLine(c.pendingLines, c.readBuf.substr(0, pos));
       c.readBuf.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) c.pendingLines.push_back(std::move(line));
     }
     if (c.readBuf.size() > options_.maxLineBytes) {
       ++stats_.oversizeCloses;

@@ -17,7 +17,7 @@
 // shape the scheduler's queue-full path emits — and is closed.
 //
 // All socket I/O goes through SocketOps, so the whole server runs against
-// the in-memory mock (net/mock_socket.h) in tests.
+// the in-memory mock (tests/support/mock_socket.h) in tests.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,9 @@
 // The narrow syscall surface the socket front end stands on. Everything
 // the receive loop does to a socket goes through this interface, so the
 // multi-client test suite can swap the kernel out for an in-memory
-// loopback double (net/mock_socket.h) and run deterministically with no
-// real networking, no ports, and no firewall prompts — the same pattern
-// as sACN's sockets/sacn_mock split that the ROADMAP names as exemplar.
+// loopback double (tests/support/mock_socket.h) and run deterministically
+// with no real networking, no ports, and no firewall prompts — the same
+// pattern as sACN's sockets/sacn_mock split.
 //
 // All descriptors are non-blocking by construction: read/write report
 // would-block instead of stalling, and poll() is the only place the

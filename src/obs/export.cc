@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,59 +13,6 @@ namespace nano::obs {
 
 namespace {
 
-/// Shortest decimal form that round-trips a double (see util::CsvWriter).
-std::string fmtRoundTrip(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void writeTimerObject(std::ostream& os, const TimerStat::Snapshot& s) {
-  os << "{\"count\":" << s.count << ",\"total_s\":" << fmtRoundTrip(s.total)
-     << ",\"min_s\":" << fmtRoundTrip(s.min)
-     << ",\"max_s\":" << fmtRoundTrip(s.max)
-     << ",\"mean_s\":" << fmtRoundTrip(s.mean)
-     << ",\"p50_s\":" << fmtRoundTrip(s.p50)
-     << ",\"p90_s\":" << fmtRoundTrip(s.p90)
-     << ",\"p99_s\":" << fmtRoundTrip(s.p99)
-     << ",\"p999_s\":" << fmtRoundTrip(s.p999) << "}";
-}
-
-void writeTimerMap(std::ostream& os,
-                   const std::vector<MetricsRegistry::TimerRow>& rows) {
-  os << "{";
-  bool first = true;
-  for (const auto& row : rows) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << jsonEscape(row.name) << "\":";
-    writeTimerObject(os, row.stat);
-  }
-  os << "}";
-}
-
 /// Seconds with an SI prefix ("3.2 ms"); "-" for an empty stat.
 std::string fmtSeconds(double s, std::int64_t count) {
   if (count == 0) return "-";
@@ -74,58 +20,6 @@ std::string fmtSeconds(double s, std::int64_t count) {
 }
 
 }  // namespace
-
-void exportJson(std::ostream& os) {
-  exportJson(os, MetricsRegistry::instance());
-}
-
-void exportJson(std::ostream& os, const MetricsRegistry& registry) {
-  os << "{\"enabled\":" << (enabled() ? "true" : "false");
-  os << ",\"spans\":";
-  writeTimerMap(os, registry.spans());
-  os << ",\"timers\":";
-  writeTimerMap(os, registry.timers());
-  os << ",\"counters\":{";
-  bool first = true;
-  for (const auto& row : registry.counters()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << jsonEscape(row.name) << "\":" << row.value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& row : registry.gauges()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << jsonEscape(row.name) << "\":" << fmtRoundTrip(row.value);
-  }
-  os << "}}\n";
-}
-
-void exportCsv(std::ostream& os) { exportCsv(os, MetricsRegistry::instance()); }
-
-void exportCsv(std::ostream& os, const MetricsRegistry& registry) {
-  os << "kind,name,count,total_s,min_s,max_s,mean_s,p50_s,p90_s,p99_s,"
-        "p999_s,value\n";
-  auto timerRow = [&os](const char* kind,
-                        const MetricsRegistry::TimerRow& row) {
-    const auto& s = row.stat;
-    os << kind << ',' << row.name << ',' << s.count << ','
-       << fmtRoundTrip(s.total) << ',' << fmtRoundTrip(s.min) << ','
-       << fmtRoundTrip(s.max) << ',' << fmtRoundTrip(s.mean) << ','
-       << fmtRoundTrip(s.p50) << ',' << fmtRoundTrip(s.p90) << ','
-       << fmtRoundTrip(s.p99) << ',' << fmtRoundTrip(s.p999) << ",\n";
-  };
-  for (const auto& row : registry.spans()) timerRow("span", row);
-  for (const auto& row : registry.timers()) timerRow("timer", row);
-  for (const auto& row : registry.counters()) {
-    os << "counter," << row.name << ",,,,,,,,,," << row.value << '\n';
-  }
-  for (const auto& row : registry.gauges()) {
-    os << "gauge," << row.name << ",,,,,,,,,," << fmtRoundTrip(row.value)
-       << '\n';
-  }
-}
 
 void printRunReport(std::ostream& os) {
   printRunReport(os, MetricsRegistry::instance());

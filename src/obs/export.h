@@ -1,7 +1,8 @@
-// Exporters for the MetricsRegistry: machine-readable JSON and CSV dumps
-// plus a human-readable run report (ASCII tables in the style of
-// core/report.h) with the hierarchical span breakdown, counters, gauges,
-// and timer statistics of everything instrumented during the run.
+// Human-readable run report for the MetricsRegistry (ASCII tables in the
+// style of core/report.h): the hierarchical span breakdown, counters,
+// gauges, and timer statistics of everything instrumented during the run.
+// Machine-readable views are the Prometheus text and `stats` JSON of
+// obs/exposition.h.
 #pragma once
 
 #include <ostream>
@@ -9,17 +10,6 @@
 namespace nano::obs {
 
 class MetricsRegistry;
-
-/// One JSON object: {"enabled":…, "spans":{…}, "timers":{…},
-/// "counters":{…}, "gauges":{…}}. Doubles are emitted with round-trip
-/// (%.17g) precision so a reader recovers the exact values.
-void exportJson(std::ostream& os);
-void exportJson(std::ostream& os, const MetricsRegistry& registry);
-
-/// Flat CSV: kind,name,count,total_s,min_s,max_s,mean_s,p50_s,p99_s,value.
-/// Counter/gauge rows fill `value` and leave the timing columns empty.
-void exportCsv(std::ostream& os);
-void exportCsv(std::ostream& os, const MetricsRegistry& registry);
 
 /// Human-readable run report: span tree (indented by nesting), timers,
 /// counters, gauges. Prints a hint instead when observability is disabled

@@ -125,17 +125,4 @@ double Log2Histogram::Snapshot::percentile(double q) const {
   return bucketLowerBound(kBucketCount - 1);
 }
 
-void Log2Histogram::Snapshot::merge(const Snapshot& other) {
-  if (buckets.empty()) buckets.assign(kBucketCount, 0);
-  for (std::size_t i = 0; i < buckets.size() && i < other.buckets.size(); ++i) {
-    buckets[i] += other.buckets[i];
-  }
-  if (other.count > 0) {
-    min = count > 0 ? std::min(min, other.min) : other.min;
-    max = count > 0 ? std::max(max, other.max) : other.max;
-  }
-  count += other.count;
-  total += other.total;
-}
-
 }  // namespace nano::obs

@@ -51,11 +51,11 @@ class Log2Histogram {
   /// Exclusive upper bound (lower bound of the next bucket).
   static double bucketUpperBound(int index);
 
-  /// Merged, immutable view of the histogram. Mergeable: aggregate shards
-  /// or whole histograms by summing counts bucket-wise.
+  /// Merged, immutable view of the histogram: the shards summed
+  /// bucket-wise.
   struct Snapshot {
     std::int64_t count = 0;
-    double total = 0.0;  ///< exact per-shard sums; merge order is fixed
+    double total = 0.0;  ///< exact per-shard sums; shard order is fixed
     double min = 0.0;
     double max = 0.0;
     std::vector<std::uint64_t> buckets;  ///< dense, kBucketCount entries
@@ -66,8 +66,6 @@ class Log2Histogram {
     [[nodiscard]] double mean() const {
       return count > 0 ? total / static_cast<double>(count) : 0.0;
     }
-    /// Accumulate another snapshot into this one (bucket-wise sums).
-    void merge(const Snapshot& other);
   };
   [[nodiscard]] Snapshot snapshot() const;
 

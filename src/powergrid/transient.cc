@@ -1,10 +1,7 @@
 #include "powergrid/transient.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "powergrid/irdrop.h"
 
 namespace nano::powergrid {
 
@@ -31,45 +28,6 @@ int minPitchVddBumps(const tech::TechNode& node) {
   const double cells =
       node.dieArea / (node.minBumpPitch * node.minBumpPitch);
   return static_cast<int>(std::round(cells / 4.0));
-}
-
-MeshTransientReport wakeupMeshTransient(const tech::TechNode& node,
-                                        const TransientConfig& config,
-                                        int steps,
-                                        const GridSolverOptions& solver) {
-  if (steps < 1) throw std::invalid_argument("wakeupMeshTransient: steps < 1");
-  if (config.wakeTime <= 0) {
-    throw std::invalid_argument("wakeupMeshTransient: time");
-  }
-  // Rails sized to the IR budget at full draw, as in the Figure 5 flow.
-  const IrDropReport sizing = minPitchReport(node);
-  GridConfig cfg =
-      gridConfigForNode(node, sizing.widthOverMin, node.minBumpPitch, true);
-
-  MeshTransientReport rep;
-  rep.times.reserve(static_cast<std::size_t>(steps) + 1);
-  rep.dropFraction.reserve(static_cast<std::size_t>(steps) + 1);
-  const double fullDensity = cfg.powerDensity;
-  for (int k = 0; k <= steps; ++k) {
-    const double t =
-        config.wakeTime * static_cast<double>(k) / static_cast<double>(steps);
-    const double ramp =
-        config.idleFraction + (1.0 - config.idleFraction) *
-                                  static_cast<double>(k) /
-                                  static_cast<double>(steps);
-    // Only the load vector changes between samples: the topology (and so
-    // the cached conductance matrix) is identical for every k.
-    cfg.powerDensity = fullDensity * ramp;
-    const GridSolution sol = solveGrid(cfg, solver);
-    rep.times.push_back(t);
-    rep.dropFraction.push_back(sol.maxDropFraction);
-    rep.converged = rep.converged && sol.cgConverged;
-    rep.unknowns = sol.unknowns;
-    rep.mgLevels = sol.mgLevels;
-  }
-  rep.peakDropFraction =
-      *std::max_element(rep.dropFraction.begin(), rep.dropFraction.end());
-  return rep;
 }
 
 }  // namespace nano::powergrid

@@ -5,9 +5,6 @@
 // absorbs the front of the ramp.
 #pragma once
 
-#include <vector>
-
-#include "powergrid/grid_model.h"
 #include "tech/itrs.h"
 
 namespace nano::powergrid {
@@ -41,26 +38,5 @@ TransientReport wakeupTransient(const tech::TechNode& node, int vddBumps,
 /// Vdd bump count at the minimum manufacturable pitch (one Vdd bump per
 /// 2x2 pad cell: Vdd/GND/2 signals).
 int minPitchVddBumps(const tech::TechNode& node);
-
-/// Quasi-static mesh view of the wake-up ramp: the supply current (and
-/// hence power density) rises linearly from the idle fraction to full
-/// draw over `wakeTime`; each sampled instant is an IR-drop mesh solve
-/// with only the load vector rescaled. All samples share one cached
-/// GridModel, so the conductance matrix is assembled at most once.
-struct MeshTransientReport {
-  std::vector<double> times;         ///< s, sample instants (0..wakeTime)
-  std::vector<double> dropFraction;  ///< worst IR drop / Vdd per sample
-  double peakDropFraction = 0.0;     ///< max over the ramp
-  bool converged = true;             ///< every sample's CG converged
-  std::size_t unknowns = 0;          ///< mesh unknowns per solve
-  int mgLevels = 0;                  ///< hierarchy depth of the last solve
-};
-
-/// Sample the wake-up ramp at `steps + 1` instants on the mesh implied by
-/// the node's minimum bump pitch (rails sized to the IR budget).
-MeshTransientReport wakeupMeshTransient(const tech::TechNode& node,
-                                        const TransientConfig& config = {},
-                                        int steps = 8,
-                                        const GridSolverOptions& solver = {});
 
 }  // namespace nano::powergrid

@@ -6,11 +6,6 @@
 
 namespace nano::signaling {
 
-double McmlGate::delay() const {
-  // R_load = swing / tailCurrent; first-order RC to the 50 % point.
-  return 0.69 * (swing / tailCurrent) * loadCap;
-}
-
 double McmlGate::staticPower(double vdd) const { return vdd * tailCurrent; }
 
 double McmlGate::switchingEnergy() const {

@@ -15,8 +15,6 @@ struct McmlGate {
   double swing = 0.3;           ///< V (I_tail * R_load)
   double loadCap = 5e-15;       ///< F per output (differential pair: two)
 
-  /// Propagation delay ~ 0.69 * R_load * C = 0.69 * swing/I * C, s.
-  [[nodiscard]] double delay() const;
   /// Static power: the tail conducts continuously, W at supply `vdd`.
   [[nodiscard]] double staticPower(double vdd) const;
   /// Dynamic energy per transition: the differential outputs exchange
@@ -41,7 +39,8 @@ struct CmosEquivalent {
 };
 
 /// Build a delay-matched (MCML, CMOS) pair driving `loadCap` in `node`.
-/// The MCML tail current is sized so both gates have the same delay.
+/// The MCML tail current is sized so both gates have the same delay; the
+/// MCML delay is 0.69 * R_load * C = 0.69 * swing/I * C.
 struct MatchedPair {
   McmlGate mcml;
   CmosEquivalent cmos;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "device/variation.h"
-#include "util/numeric.h"
 
 namespace nano::sta {
 
@@ -114,38 +113,6 @@ double timingYield(const circuit::Netlist& netlist, const StatTiming& timing,
     yield *= normCdf((clockPeriod - mu) / sg);
   }
   return yield;
-}
-
-YieldMargin marginSigmasForYieldChecked(double yield) {
-  YieldMargin out;
-  out.diag.kernel = "sta/yield_margin";
-  // NaN yields fail every comparison, so test for validity positively: the
-  // old `yield <= 0 || yield >= 1` guard let NaN slip through to the solver.
-  if (!(yield > 0.0 && yield < 1.0)) {
-    out.sigmas = std::nan("");
-    out.diag.status = std::isnan(yield) ? util::SolverStatus::NanDetected
-                                        : util::SolverStatus::BracketFailure;
-    out.diag.residual = std::nan("");
-    return out;
-  }
-  // Invert the normal CDF by bracketed root finding; the fixed [-10, 10]
-  // window brackets every representable yield in (0, 1), and a stalled
-  // Brent step falls back to bisection inside tryBracketAndSolve.
-  const util::SolveResult r = util::tryBracketAndSolve(
-      [&](double x) { return normCdf(x) - yield; }, -10.0, 10.0, 0, 1e-10);
-  out.sigmas = r.x;
-  out.diag = r.diagnostics();
-  out.diag.kernel = "sta/yield_margin";
-  return out;
-}
-
-double marginSigmasForYield(double yield) {
-  const YieldMargin m = marginSigmasForYieldChecked(yield);
-  if (m.diag.status == util::SolverStatus::BracketFailure ||
-      m.diag.status == util::SolverStatus::NanDetected) {
-    throw std::invalid_argument("marginSigmasForYield: yield in (0,1)");
-  }
-  return m.sigmas;
 }
 
 }  // namespace nano::sta

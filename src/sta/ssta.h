@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "util/numeric.h"
 
 namespace nano::sta {
 
@@ -42,22 +41,5 @@ StatTiming analyzeStatistical(const circuit::Netlist& netlist,
 /// endpoint approximation), i.e. parametric timing yield.
 double timingYield(const circuit::Netlist& netlist, const StatTiming& timing,
                    double clockPeriod);
-
-/// Structured outcome of the yield-margin inversion (kernel
-/// "sta/yield_margin").
-struct YieldMargin {
-  double sigmas = 0.0;
-  util::Diagnostics diag;
-};
-
-/// Checked normal-CDF inversion: never throws on numerical failure. A
-/// yield outside (0, 1) — including NaN — reports NanDetected/
-/// BracketFailure through the diagnostics instead of poisoning the root.
-YieldMargin marginSigmasForYieldChecked(double yield);
-
-/// Clock margin (in sigmas of the critical endpoint) needed for a target
-/// yield: clock = criticalMean + marginSigmas(yield) * criticalSigma.
-/// Throwing wrapper over marginSigmasForYieldChecked().
-double marginSigmasForYield(double yield);
 
 }  // namespace nano::sta

@@ -232,8 +232,9 @@ class Parser {
     return true;
   }
 
+  /// `depth` counts the containers enclosing the value, so a container
+  /// entered at depth kMaxDepth would be level kMaxDepth + 1.
   JsonValue parseValue(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
     skipWs();
     const char c = peek();
     switch (c) {
@@ -254,6 +255,7 @@ class Parser {
   }
 
   JsonValue parseObject(int depth) {
+    if (depth >= kMaxDepth) fail("nesting too deep");
     expect('{');
     JsonValue obj = JsonValue::object();
     skipWs();
@@ -277,6 +279,7 @@ class Parser {
   }
 
   JsonValue parseArray(int depth) {
+    if (depth >= kMaxDepth) fail("nesting too deep");
     expect('[');
     JsonValue arr = JsonValue::array();
     skipWs();

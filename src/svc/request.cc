@@ -39,10 +39,6 @@ bool kindFromName(std::string_view name, RequestKind& out) {
   return false;
 }
 
-const char* priorityName(Priority priority) {
-  return kPriorityNames[static_cast<int>(priority)];
-}
-
 bool priorityFromName(std::string_view name, Priority& out) {
   for (int i = 0; i < 3; ++i) {
     if (name == kPriorityNames[i]) {

@@ -52,7 +52,6 @@ inline constexpr double kMaxDeadlineMs = 3.6e6;
 
 /// Admission priority: the scheduler drains High before Normal before Low.
 enum class Priority { High, Normal, Low };
-const char* priorityName(Priority priority);
 bool priorityFromName(std::string_view name, Priority& out);
 
 // Per-kind parameters. Fields default to the library's canonical values so

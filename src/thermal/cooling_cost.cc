@@ -1,17 +1,6 @@
 #include "thermal/cooling_cost.h"
 
-#include <stdexcept>
-
 namespace nano::thermal {
-
-double thetaJaRelief(double fraction) {
-  if (fraction <= 0 || fraction > 1.0) {
-    throw std::invalid_argument("thetaJaRelief: fraction out of (0, 1]");
-  }
-  // theta_ja = (Tj - Ta) / P: cutting P by `fraction` raises the allowable
-  // theta_ja by 1/fraction.
-  return 1.0 / fraction;
-}
 
 double coolingCostUsd(double power, double tjMax, double tAmbient) {
   return cheapestSolutionFor(power, tjMax, tAmbient).cost(power);

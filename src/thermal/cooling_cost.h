@@ -13,11 +13,6 @@ namespace nano::thermal {
 /// code): about 75 % [7,8].
 inline constexpr double kEffectiveWorstCaseFraction = 0.75;
 
-/// Relief in the allowable theta_ja when rating for a `fraction` of the
-/// theoretical worst-case power (paper: 25 % power cut => theta_ja may be
-/// 33 % higher). Returns the multiplicative relief (e.g. 1.333).
-double thetaJaRelief(double fraction = kEffectiveWorstCaseFraction);
-
 /// Cooling cost (cheapest catalog solution) for a design rated at `power`.
 double coolingCostUsd(double power, double tjMax, double tAmbient);
 

@@ -16,10 +16,6 @@ double ThermalPackage::junctionTemperature(double power, double tAmbient) const 
   return tAmbient + thetaJa_ * power;
 }
 
-double ThermalPackage::maxPower(double tjMax, double tAmbient) const {
-  return (tjMax - tAmbient) / thetaJa_;
-}
-
 double ThermalPackage::step(double tJunction, double power, double tAmbient,
                             double dt) const {
   // Exact solution of the linear first-order ODE over dt (unconditionally

@@ -25,9 +25,6 @@ class ThermalPackage {
   /// Eq. (1) solved for Tchip: steady-state junction temperature, K.
   [[nodiscard]] double junctionTemperature(double power, double tAmbient) const;
 
-  /// Eq. (1) solved for Pchip: maximum power for a junction limit, W.
-  [[nodiscard]] double maxPower(double tjMax, double tAmbient) const;
-
   /// Advance the junction temperature by `dt` under dissipation `power`:
   /// dT/dt = (P - (T - Ta)/theta) / C. Returns the new temperature, K.
   [[nodiscard]] double step(double tJunction, double power, double tAmbient,

@@ -23,22 +23,6 @@ double PowerTrace::Cursor::at(double t) {
   return (*phases_)[index_].powerFraction;
 }
 
-double PowerTrace::at(double t) const { return Cursor(*this).at(t); }
-
-double PowerTrace::average() const {
-  const double total = totalDuration();
-  if (total <= 0) return 0.0;
-  double sum = 0.0;
-  for (const auto& p : phases) sum += p.duration * p.powerFraction;
-  return sum / total;
-}
-
-double PowerTrace::peak() const {
-  double peak = 0.0;
-  for (const auto& p : phases) peak = std::max(peak, p.powerFraction);
-  return peak;
-}
-
 PowerTrace typicalApplication(util::Rng& rng, double duration,
                               double burstFraction, double phaseMean) {
   if (duration <= 0 || phaseMean <= 0) {

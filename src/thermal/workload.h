@@ -24,8 +24,8 @@ struct PowerTrace {
   /// from the previous call's phase, so stepping through the whole trace
   /// costs O(steps + phases) rather than O(steps x phases). Phase ends are
   /// the left-fold running sums of the durations; t selects the first
-  /// phase whose end lies beyond it (clamping to the last phase), which is
-  /// the rule at() applies. The trace must outlive the cursor.
+  /// phase whose end lies beyond it (clamping to the last phase). The trace
+  /// must outlive the cursor.
   class Cursor {
    public:
     /// Throws std::logic_error on an empty trace.
@@ -40,12 +40,6 @@ struct PowerTrace {
   };
 
   [[nodiscard]] double totalDuration() const;
-  /// Power fraction at time t (clamps to last phase): a one-shot Cursor.
-  [[nodiscard]] double at(double t) const;
-  /// Time-averaged power fraction.
-  [[nodiscard]] double average() const;
-  /// Maximum phase power fraction.
-  [[nodiscard]] double peak() const;
 };
 
 /// A demanding but realistic application: phases drawn in [0.35, 0.80] of

@@ -12,8 +12,8 @@ bool sameSign(double a, double b) { return (a > 0) == (b > 0); }
 
 bool finite(double v) { return std::isfinite(v); }
 
-/// Shared failure exit: classic (throwing) wrappers translate the
-/// structured statuses back into the historical exception contract.
+/// Failure exit of the throwing bracketAndSolve: translates the structured
+/// statuses back into the historical exception contract.
 SolveResult orThrow(SolveResult r, const char* what) {
   if (r.status == SolverStatus::BracketFailure ||
       r.status == SolverStatus::NanDetected) {
@@ -116,12 +116,6 @@ SolveResult tryBisect(const std::function<double(double)>& f, double lo,
   return r;
 }
 
-SolveResult bisect(const std::function<double(double)>& f, double lo, double hi,
-                   double xtol, int maxIter) {
-  return orThrow(tryBisect(f, lo, hi, xtol, maxIter),
-                 "bisect: interval does not bracket a root");
-}
-
 SolveResult tryBrent(const std::function<double(double)>& f, double lo,
                      double hi, double xtol, int maxIter) {
   SolveResult r;
@@ -219,12 +213,6 @@ SolveResult tryBrent(const std::function<double(double)>& f, double lo,
   r.converged = false;
   r.status = SolverStatus::MaxIterations;
   return r;
-}
-
-SolveResult brent(const std::function<double(double)>& f, double lo, double hi,
-                  double xtol, int maxIter) {
-  return orThrow(tryBrent(f, lo, hi, xtol, maxIter),
-                 "brent: interval does not bracket a root");
 }
 
 SolveResult tryBracketAndSolve(const std::function<double(double)>& f,
@@ -364,39 +352,6 @@ SolveResult tryMinimizeGolden(const std::function<double(double)>& f,
   return r;
 }
 
-SolveResult minimizeGolden(const std::function<double(double)>& f, double lo,
-                           double hi, double xtol, int maxIter) {
-  return orThrow(tryMinimizeGolden(f, lo, hi, xtol, maxIter),
-                 "minimizeGolden: non-finite evaluation");
-}
-
-LinearInterpolator::LinearInterpolator(std::vector<double> xs,
-                                       std::vector<double> ys)
-    : xs_(std::move(xs)), ys_(std::move(ys)) {
-  if (xs_.size() != ys_.size() || xs_.size() < 2) {
-    throw std::invalid_argument("LinearInterpolator: need >= 2 matching points");
-  }
-  for (std::size_t i = 1; i < xs_.size(); ++i) {
-    if (xs_[i] <= xs_[i - 1]) {
-      throw std::invalid_argument("LinearInterpolator: xs must be increasing");
-    }
-  }
-}
-
-double LinearInterpolator::operator()(double x) const {
-  // Clamped extrapolation: outside the table the end value holds, so
-  // roadmap lookups past the last node can never run negative.
-  if (x <= xs_.front()) return ys_.front();
-  if (x >= xs_.back()) return ys_.back();
-  auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  std::size_t hi = static_cast<std::size_t>(it - xs_.begin());
-  if (hi == 0) hi = 1;
-  if (hi >= xs_.size()) hi = xs_.size() - 1;
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
-  return ys_[lo] + t * (ys_[hi] - ys_[lo]);
-}
-
 std::vector<double> linspace(double lo, double hi, int n) {
   if (n < 2) throw std::invalid_argument("linspace: n must be >= 2");
   std::vector<double> out(static_cast<std::size_t>(n));
@@ -412,21 +367,6 @@ std::vector<double> logspace(double lo, double hi, int n) {
   for (double& e : exps) e = std::pow(10.0, e);
   exps.back() = hi;
   return exps;
-}
-
-double trapz(const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("trapz: need >= 2 matching points");
-  }
-  double sum = 0.0;
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    sum += 0.5 * (ys[i] + ys[i - 1]) * (xs[i] - xs[i - 1]);
-  }
-  return sum;
-}
-
-bool approxEqual(double a, double b, double rtol, double atol) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
 }
 
 }  // namespace nano::util

@@ -1,12 +1,12 @@
-// Small numerics toolbox: root finding, 1-D minimization, interpolation,
-// and range generation. All routines are deterministic and allocation-free
-// except the range generators.
+// Small numerics toolbox: root finding, 1-D minimization, and range
+// generation. All routines are deterministic and allocation-free except the
+// range generators.
 //
-// Every iterative kernel reports a structured SolverStatus instead of (or in
-// addition to) throwing: the try* variants never throw on numerical failure
-// and return the best iterate with a Diagnostics record, while the classic
-// names keep their historical throw-on-bad-bracket contract by wrapping the
-// try* versions. See docs/ROBUSTNESS.md for the recovery ladder.
+// Every iterative kernel reports a structured SolverStatus instead of
+// throwing: the try* variants never throw on numerical failure and return
+// the best iterate with a Diagnostics record. bracketAndSolve alone keeps
+// the historical throw-on-bad-bracket contract by wrapping its try* form.
+// See docs/ROBUSTNESS.md for the recovery ladder.
 #pragma once
 
 #include <functional>
@@ -53,27 +53,19 @@ struct SolveResult {
   [[nodiscard]] Diagnostics diagnostics() const;
 };
 
-/// Find a root of `f` in [lo, hi] by bisection. Requires f(lo) and f(hi) to
-/// bracket a sign change; throws std::invalid_argument otherwise.
-SolveResult bisect(const std::function<double(double)>& f, double lo, double hi,
-                   double xtol = 1e-12, int maxIter = 200);
-
-/// Non-throwing bisect: reports BracketFailure / NanDetected through the
-/// result status instead of throwing; never raises on numerical failure.
+/// Find a root of `f` in [lo, hi] by bisection. f(lo) and f(hi) must
+/// bracket a sign change; BracketFailure / NanDetected come back through
+/// the result status, never as an exception.
 SolveResult tryBisect(const std::function<double(double)>& f, double lo,
                       double hi, double xtol = 1e-12, int maxIter = 200);
 
 /// Brent's method root finder (inverse quadratic interpolation + bisection
-/// fallback). Same bracketing requirement as bisect(), faster convergence.
-SolveResult brent(const std::function<double(double)>& f, double lo, double hi,
-                  double xtol = 1e-12, int maxIter = 100);
-
-/// Non-throwing brent: status instead of exceptions, NaN guards on every
-/// function evaluation.
+/// fallback). Same bracketing requirement as tryBisect(), faster
+/// convergence; NaN guards on every function evaluation.
 SolveResult tryBrent(const std::function<double(double)>& f, double lo,
                      double hi, double xtol = 1e-12, int maxIter = 100);
 
-/// Expand [lo, hi] geometrically until f changes sign, then solve with brent.
+/// Expand [lo, hi] geometrically until f changes sign, then solve with Brent.
 /// Useful when only a one-sided starting guess is available. Throws if no
 /// bracket is found within `maxExpand` doublings.
 SolveResult bracketAndSolve(const std::function<double(double)>& f, double lo,
@@ -87,31 +79,12 @@ SolveResult tryBracketAndSolve(const std::function<double(double)>& f,
                                double lo, double hi, int maxExpand = 60,
                                double xtol = 1e-12, int maxIter = 100);
 
-/// Golden-section minimization of a unimodal `f` on [lo, hi].
-SolveResult minimizeGolden(const std::function<double(double)>& f, double lo,
-                           double hi, double xtol = 1e-10, int maxIter = 200);
-
-/// Non-throwing golden search: NaN guards on every evaluation; a poisoned
-/// evaluation stops the shrink and reports NanDetected with the best
-/// finite iterate seen so far.
+/// Golden-section minimization of a unimodal `f` on [lo, hi]. NaN guards on
+/// every evaluation; a poisoned evaluation stops the shrink and reports
+/// NanDetected with the best finite iterate seen so far.
 SolveResult tryMinimizeGolden(const std::function<double(double)>& f,
                               double lo, double hi, double xtol = 1e-10,
                               int maxIter = 200);
-
-/// Piecewise-linear interpolation through (xs, ys); xs must be strictly
-/// increasing. Values outside the domain are clamped to the boundary
-/// values (no extrapolation): roadmap lookups past the table range hold
-/// the end value instead of running linear trends negative.
-class LinearInterpolator {
- public:
-  LinearInterpolator(std::vector<double> xs, std::vector<double> ys);
-  double operator()(double x) const;
-  [[nodiscard]] std::size_t size() const { return xs_.size(); }
-
- private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-};
 
 /// n evenly spaced samples covering [lo, hi] inclusive (n >= 2).
 std::vector<double> linspace(double lo, double hi, int n);
@@ -119,11 +92,5 @@ std::vector<double> linspace(double lo, double hi, int n);
 /// n logarithmically spaced samples covering [lo, hi] inclusive
 /// (lo, hi > 0, n >= 2).
 std::vector<double> logspace(double lo, double hi, int n);
-
-/// Trapezoidal integral of sampled data (xs strictly increasing).
-double trapz(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// True when |a - b| <= atol + rtol * max(|a|, |b|).
-bool approxEqual(double a, double b, double rtol = 1e-9, double atol = 0.0);
 
 }  // namespace nano::util

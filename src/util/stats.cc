@@ -1,31 +1,9 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace nano::util {
-
-Summary summarize(const std::vector<double>& xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  double sum = 0.0;
-  s.min = xs.front();
-  s.max = xs.front();
-  for (double x : xs) {
-    sum += x;
-    s.min = std::min(s.min, x);
-    s.max = std::max(s.max, x);
-  }
-  s.mean = sum / static_cast<double>(xs.size());
-  if (xs.size() > 1) {
-    double ss = 0.0;
-    for (double x : xs) ss += (x - s.mean) * (x - s.mean);
-    s.stddev = std::sqrt(ss / static_cast<double>(xs.size() - 1));
-  }
-  return s;
-}
 
 double percentile(std::vector<double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile: empty sample");
@@ -51,10 +29,6 @@ void Histogram::add(double x) {
   ++total_;
 }
 
-void Histogram::addAll(const std::vector<double>& xs) {
-  for (double x : xs) add(x);
-}
-
 std::size_t Histogram::count(int bin) const {
   return counts_.at(static_cast<std::size_t>(bin));
 }
@@ -62,30 +36,6 @@ std::size_t Histogram::count(int bin) const {
 double Histogram::fraction(int bin) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
-double Histogram::binLo(int bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::binHi(int bin) const { return binLo(bin + 1); }
-
-double Histogram::cumulativeBelow(double x) const {
-  if (total_ == 0) return 0.0;
-  if (x <= lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  double below = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const double bl = binLo(static_cast<int>(b));
-    const double bh = binHi(static_cast<int>(b));
-    if (x >= bh) {
-      below += static_cast<double>(counts_[b]);
-    } else if (x > bl) {
-      below += static_cast<double>(counts_[b]) * (x - bl) / (bh - bl);
-    }
-  }
-  return below / static_cast<double>(total_);
 }
 
 }  // namespace nano::util

@@ -7,18 +7,6 @@
 
 namespace nano::util {
 
-/// Summary statistics of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1)
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// Compute summary statistics; returns a zeroed Summary for empty input.
-Summary summarize(const std::vector<double>& xs);
-
 /// p-th percentile (0 <= p <= 100) with linear interpolation between order
 /// statistics. Throws on empty input.
 double percentile(std::vector<double> xs, double p);
@@ -30,17 +18,12 @@ class Histogram {
   Histogram(double lo, double hi, int bins);
 
   void add(double x);
-  void addAll(const std::vector<double>& xs);
 
   [[nodiscard]] int bins() const { return static_cast<int>(counts_.size()); }
   [[nodiscard]] std::size_t count(int bin) const;
   [[nodiscard]] std::size_t total() const { return total_; }
-  /// Fraction of all samples in [binLo(bin), binHi(bin)).
+  /// Fraction of all samples in bin `bin`.
   [[nodiscard]] double fraction(int bin) const;
-  [[nodiscard]] double binLo(int bin) const;
-  [[nodiscard]] double binHi(int bin) const;
-  /// Fraction of samples with value < x (linear within the containing bin).
-  [[nodiscard]] double cumulativeBelow(double x) const;
 
  private:
   double lo_;

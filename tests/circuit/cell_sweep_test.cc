@@ -18,7 +18,8 @@ class CornerSweep
 
 TEST_P(CornerSweep, AllCornersPhysicallyOrdered) {
   const auto [feature, function] = GetParam();
-  const auto cz = CellCharacterizer::forNode(tech::nodeByFeature(feature));
+  const CellCharacterizer cz =
+      Library(tech::nodeByFeature(feature)).characterizer();
 
   const Cell lvtHi = cz.characterize(function, 2.0, VthClass::Low, VddDomain::High);
   const Cell hvtHi = cz.characterize(function, 2.0, VthClass::High, VddDomain::High);
@@ -50,7 +51,8 @@ TEST_P(CornerSweep, AllCornersPhysicallyOrdered) {
 
 TEST_P(CornerSweep, DriveScalingExact) {
   const auto [feature, function] = GetParam();
-  const auto cz = CellCharacterizer::forNode(tech::nodeByFeature(feature));
+  const CellCharacterizer cz =
+      Library(tech::nodeByFeature(feature)).characterizer();
   const Cell x1 = cz.characterize(function, 1.0, VthClass::Low, VddDomain::High);
   const Cell x3 = cz.characterize(function, 3.0, VthClass::Low, VddDomain::High);
   EXPECT_NEAR(x3.inputCap / x1.inputCap, 3.0, 1e-9);
@@ -76,7 +78,7 @@ TEST(CornerSweepExtra, Fo4ConsistencyWithGateModel) {
   // InverterModel-based estimate within the parasitic-accounting slack.
   for (int f : {100, 35}) {
     const auto& node = tech::nodeByFeature(f);
-    const auto cz = CellCharacterizer::forNode(node);
+    const CellCharacterizer cz = Library(node).characterizer();
     const Cell inv = cz.characterize(CellFunction::Inv, 1.0, VthClass::Low,
                                      VddDomain::High);
     const double cellFo4 = inv.delay(4.0 * inv.inputCap);
@@ -94,7 +96,7 @@ TEST(CornerSweepExtra, LeakagePerCellTracksEq4AcrossNodes) {
   double prevRatio = -1.0;
   for (int f : {100, 50}) {
     const auto& node = tech::nodeByFeature(f);
-    const auto cz = CellCharacterizer::forNode(node);
+    const CellCharacterizer cz = Library(node).characterizer();
     const Cell inv = cz.characterize(CellFunction::Inv, 1.0, VthClass::Low,
                                      VddDomain::High);
     const double vth = device::solveVthForIon(node, node.ionTarget);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "circuit/library.h"
 #include "util/units.h"
 
 namespace nano::circuit {
@@ -12,7 +13,7 @@ namespace {
 using namespace nano::units;
 
 CellCharacterizer charzr() {
-  return CellCharacterizer::forNode(tech::nodeByFeature(100));
+  return Library(tech::nodeByFeature(100)).characterizer();
 }
 
 TEST(CellFunctions, FaninTable) {
@@ -106,25 +107,17 @@ TEST(Characterize, LevelConverterHasBigParasitic) {
   EXPECT_GT(lc.delay(0.0), 2.0 * inv.delay(0.0));
 }
 
-TEST(Characterize, NamesEncodeCorner) {
-  const auto cz = charzr();
-  const Cell c = cz.characterize(CellFunction::Nand2, 4.0, VthClass::High,
-                                 VddDomain::Low);
-  EXPECT_NE(c.name.find("NAND2"), std::string::npos);
-  EXPECT_NE(c.name.find("HVT"), std::string::npos);
-  EXPECT_NE(c.name.find("VL"), std::string::npos);
-}
-
 TEST(Characterize, RejectsBadDrive) {
   const auto cz = charzr();
-  EXPECT_THROW(
-      cz.characterize(CellFunction::Inv, 0.0, VthClass::Low, VddDomain::High),
-      std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(cz.characterize(
+                   CellFunction::Inv, 0.0, VthClass::Low, VddDomain::High)),
+               std::invalid_argument);
 }
 
 TEST(CellCharacterizer, ForNodeUsesPaperRatios) {
+  // A node's default library characterizes at the paper's ratios.
   const auto& node = tech::nodeByFeature(70);
-  const auto cz = CellCharacterizer::forNode(node);
+  const CellCharacterizer cz = Library(node).characterizer();
   EXPECT_NEAR(cz.vddOf(VddDomain::Low), kCvsVddLowRatio * node.vdd, 1e-12);
   EXPECT_NEAR(cz.vthOf(VthClass::High) - cz.vthOf(VthClass::Low),
               kDualVthOffset, 1e-12);

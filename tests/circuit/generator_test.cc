@@ -1,6 +1,7 @@
 #include "circuit/generator.h"
 
 #include "sta/sta.h"
+#include "support/inverter_chain.h"
 
 #include <gtest/gtest.h>
 
@@ -102,18 +103,6 @@ TEST(InverterChain, UsesRequestedDrive) {
   }
 }
 
-TEST(BufferTree, CoversLeaves) {
-  const Netlist nl = bufferTree(lib(), 16, 4);
-  EXPECT_EQ(nl.outputs().size(), 16u);
-  EXPECT_NO_THROW(nl.validate());
-}
-
-TEST(BufferTree, Rejections) {
-  EXPECT_THROW(bufferTree(lib(), 0), std::invalid_argument);
-  EXPECT_THROW(bufferTree(lib(), 8, 1), std::invalid_argument);
-}
-
-
 TEST(KoggeStoneAdder, StructureAndOutputs) {
   const Netlist nl = koggeStoneAdder(lib(), 8);
   EXPECT_EQ(nl.inputCount(), 2 * 8 + 1);
@@ -144,25 +133,6 @@ TEST(KoggeStoneAdder, DepthGrowsLogarithmically) {
 
 TEST(KoggeStoneAdder, RejectsZeroBits) {
   EXPECT_THROW(koggeStoneAdder(lib(), 0), std::invalid_argument);
-}
-
-TEST(ArrayMultiplier, StructureAndOutputs) {
-  const Netlist nl = arrayMultiplier(lib(), 8);
-  EXPECT_EQ(nl.inputCount(), 16);
-  EXPECT_EQ(nl.outputs().size(), 16u);  // 2N product bits
-  EXPECT_NO_THROW(nl.validate());
-  // N^2 partial products plus adder rows: hundreds of gates at 8 bits.
-  EXPECT_GT(nl.gateCount(), 400);
-}
-
-TEST(ArrayMultiplier, QuadraticGateGrowth) {
-  const int g4 = arrayMultiplier(lib(), 4).gateCount();
-  const int g8 = arrayMultiplier(lib(), 8).gateCount();
-  EXPECT_NEAR(static_cast<double>(g8) / g4, 4.0, 1.0);
-}
-
-TEST(ArrayMultiplier, RejectsTooNarrow) {
-  EXPECT_THROW(arrayMultiplier(lib(), 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
 // Functional verification through bit-parallel simulation: the generated
 // arithmetic circuits compute, the optimizers preserve logic, and the
 // measured activity cross-checks the probabilistic propagation.
-#include "circuit/simulate.h"
+#include "support/simulate.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "circuit/generator.h"
-#include "circuit/netlist_io.h"
 #include "opt/combined.h"
 #include "power/activity.h"
+#include "support/inverter_chain.h"
 
 namespace nano::circuit {
 namespace {
@@ -64,21 +62,6 @@ TEST(Simulate, KoggeStoneEquivalentToRipple) {
   }
 }
 
-TEST(Simulate, ArrayMultiplierActuallyMultiplies) {
-  const int bits = 6;
-  const Netlist mult = arrayMultiplier(lib(), bits);
-  util::Rng rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto a = static_cast<std::uint64_t>(rng.uniformInt(0, 63));
-    const auto b = static_cast<std::uint64_t>(rng.uniformInt(0, 63));
-    std::vector<Word> in;
-    for (int i = 0; i < bits; ++i) in.push_back((a >> i) & 1 ? ~Word{0} : 0);
-    for (int i = 0; i < bits; ++i) in.push_back((b >> i) & 1 ? ~Word{0} : 0);
-    const auto outs = evaluateOutputs(mult, in);
-    EXPECT_EQ(decodeScalar(outs), a * b) << a << "*" << b;
-  }
-}
-
 TEST(Simulate, OptimizersPreserveLogic) {
   // The whole flow (CVS + dual-Vth + sizing) swaps cells and inserts
   // buffering level converters — the boolean function must not change.
@@ -90,19 +73,6 @@ TEST(Simulate, OptimizersPreserveLogic) {
   const opt::FlowResult flow = opt::runFlow(before, lib());
   util::Rng eqRng(5);
   EXPECT_TRUE(randomlyEquivalent(before, flow.netlist, eqRng, 32));
-}
-
-TEST(Simulate, TextRoundTripPreservesLogic) {
-  util::Rng genRng(6);
-  GeneratorConfig cfg;
-  cfg.gates = 200;
-  const Netlist before = randomLogic(lib(), cfg, genRng);
-  std::ostringstream os;
-  writeNetlist(os, before);
-  std::istringstream is(os.str());
-  const Netlist after = readNetlist(is, lib());
-  util::Rng eqRng(7);
-  EXPECT_TRUE(randomlyEquivalent(before, after, eqRng, 32));
 }
 
 TEST(Simulate, MismatchedShapesNotEquivalent) {

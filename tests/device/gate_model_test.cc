@@ -96,8 +96,10 @@ TEST(InverterModel, RejectsBadVdd) {
 }
 
 TEST(ReferenceInverter, MeetsIonTarget) {
+  // Figure 1's building block: nominal supply, Vth solved for the target.
   const auto& node = nodeByFeature(70);
-  const InverterModel inv = referenceInverter(node);
+  const InverterModel inv(node, solveVthForIon(node, node.ionTarget),
+                          node.vdd);
   EXPECT_NEAR(inv.nmos().ion(), node.ionTarget, node.ionTarget * 1e-6);
 }
 

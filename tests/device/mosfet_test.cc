@@ -18,6 +18,19 @@ Mosfet deviceFor(int node, double vth) {
   return Mosfet::fromNode(nodeByFeature(node), vth);
 }
 
+/// The paper's Eq. (2): the first-order source-resistance correction as
+/// printed. The model uses the self-consistent solve instead; Eq. (2) stays
+/// here as its closed-form oracle.
+double ionFirstOrder(const Mosfet& m, double vgs) {
+  const MosfetParams& p = m.params();
+  const double i0 = m.idsat0(vgs);
+  const double vgt =
+      m.smoothedOverdrive(vgs, m.vthEffective(p.vddReference));
+  const double esatL = m.esat(vgs) * p.leff;
+  const double irs = i0 * p.rsOhmM;
+  return i0 * (1.0 - 2.0 * irs / vgt + irs / (vgt + esatL));
+}
+
 TEST(ElectricalOxide, PolyAddsSevenAngstrom) {
   const Mosfet m = deviceFor(100, 0.22);
   EXPECT_NEAR(m.toxElectrical() - m.params().toxPhysical, 7.0 * angstrom,
@@ -129,7 +142,7 @@ TEST(Ion, FirstOrderAgreesWithSelfConsistentWhenRsSmall) {
   MosfetParams p = deviceFor(180, 0.28).params();
   p.rsOhmM = 10.0 * ohm_um;  // tiny degeneration
   const Mosfet m(p);
-  EXPECT_NEAR(m.ionFirstOrder(1.8), m.ionSelfConsistent(1.8),
+  EXPECT_NEAR(ionFirstOrder(m, 1.8), m.ionSelfConsistent(1.8),
               0.02 * m.ionSelfConsistent(1.8));
 }
 
@@ -329,7 +342,7 @@ TEST_P(NodeSweep, FirstOrderRsCorrectionBracketsSelfConsistent) {
   const auto& node = nodeByFeature(GetParam());
   const double vth = solveVthForIon(node, node.ionTarget);
   const Mosfet m = Mosfet::fromNode(node, vth);
-  const double first = m.ionFirstOrder(node.vdd);
+  const double first = ionFirstOrder(m, node.vdd);
   const double self = m.ionSelfConsistent(node.vdd);
   EXPECT_LE(first, self * 1.001);
   EXPECT_GT(first, 0.6 * self);

@@ -4,10 +4,7 @@
 // of structure — independent of the particular netlist drawn.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "circuit/generator.h"
-#include "circuit/netlist_io.h"
 #include "opt/combined.h"
 #include "power/power_model.h"
 #include "sta/sta.h"
@@ -89,18 +86,6 @@ TEST_P(SeedSweep, FullFlowMonotoneAndLegal) {
     prev = stage.power.total();
   }
   EXPECT_TRUE(r.netlist.vddViolations().empty());
-}
-
-TEST_P(SeedSweep, NetlistIoRoundTripExact) {
-  const Netlist nl = designForSeed(GetParam());
-  std::ostringstream os;
-  circuit::writeNetlist(os, nl);
-  std::istringstream is(os.str());
-  const Netlist copy = circuit::readNetlist(is, lib());
-  const auto t1 = sta::analyze(nl);
-  const auto t2 = sta::analyze(copy);
-  EXPECT_NEAR(t2.criticalPathDelay, t1.criticalPathDelay,
-              1e-12 * t1.criticalPathDelay);
 }
 
 TEST_P(SeedSweep, ActivityBoundsHold) {

@@ -1,7 +1,8 @@
-#include "interconnect/elmore.h"
+#include "support/elmore.h"
 
 #include <gtest/gtest.h>
 
+#include "interconnect/rlc.h"
 #include "util/units.h"
 
 namespace nano::interconnect {
@@ -153,16 +154,15 @@ TEST(Moments, D2mCorrectsElmoreAtFarEndOfLine) {
 
 TEST(Moments, D2mMatchesSakuraiWithinOnePercent) {
   // The analytic far-end D2M of a distributed line is 0.3796*RC vs
-  // Sakurai's fitted 0.377*RC: agreement within ~1 %.
+  // Sakurai's fitted 0.377*RC (distributedLineDelay with no driver or
+  // load): agreement within ~1 %.
   WireRc rc;
   rc.resistancePerM = 2e5;
   rc.groundCapPerM = 2e-10;
   const double length = 3e-3;
   const LineTree lt = buildLine(rc, length, 200);
-  const double rTot = rc.resistancePerM * length;
-  const double cTot = rc.groundCapPerM * length;
-  EXPECT_NEAR(lt.tree.delayD2M(lt.farEnd), 0.377 * rTot * cTot,
-              0.015 * 0.377 * rTot * cTot);
+  const double sakurai = distributedLineDelay(rc, length, 0.0, 0.0);
+  EXPECT_NEAR(lt.tree.delayD2M(lt.farEnd), sakurai, 0.015 * sakurai);
 }
 
 TEST(Moments, DriverDominatedLineDegeneratesToSinglePole) {

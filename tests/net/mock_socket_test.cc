@@ -2,7 +2,7 @@
 // layer: FIFO accepts, would-block on empty reads and capped writes, EOF
 // after half-close, and a poll() that wakes on traffic and on wake().
 // Every NetServer test stands on these semantics.
-#include "net/mock_socket.h"
+#include "support/mock_socket.h"
 
 #include <gtest/gtest.h>
 

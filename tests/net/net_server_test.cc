@@ -10,7 +10,10 @@
 //   - a client that stops reading is disconnected once its write queue
 //     exceeds the bound (memory stays bounded under overload);
 //   - a tiny emit-queue limit pauses reads (backpressure) without
-//     changing a single output byte.
+//     changing a single output byte;
+//   - input edges: an unterminated last line, an oversize line, and
+//     garbage lines are framed and answered exactly as the stdin server
+//     answers them.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -24,8 +27,10 @@
 #include <vector>
 
 #include "exec/exec.h"
-#include "net/mock_socket.h"
 #include "obs/obs.h"
+#include "support/mock_socket.h"
+#include "svc/server.h"
+#include "util/rng.h"
 
 namespace nano::net {
 namespace {
@@ -457,6 +462,114 @@ TEST_F(NetServerTest, StopWithClientsMidStreamDrainsAndAnswersEverything) {
     EXPECT_NE(line.find(R"("status":"ok")"), std::string::npos) << line;
   }
   EXPECT_TRUE(mock.serverClosed(fd));
+}
+
+// ------------------------------------------------------- input edges
+
+/// The stdin server's replies to `input`: the reference for socket framing.
+std::string stdinReplies(const std::string& input) {
+  svc::Service service;
+  std::istringstream in(input);
+  std::ostringstream out;
+  svc::runServer(in, out, service);
+  return out.str();
+}
+
+/// Send `input` on one TCP connection, half-close, and collect the replies.
+std::string socketReplies(const std::string& input) {
+  auto mockPtr = std::make_unique<MockSocketOps>();
+  MockSocketOps& mock = *mockPtr;
+  svc::Service service;
+  NetServerOptions options;
+  options.tcpPort = 0;
+  NetServer server(service, options, std::move(mockPtr));
+  std::string error;
+  EXPECT_TRUE(server.start(error)) << error;
+  const int fd = mock.connectTcp(server.tcpPort());
+  EXPECT_GE(fd, 0);
+  mock.clientSend(fd, input);
+  mock.clientCloseWrite(fd);
+  std::string replies = mock.clientReadAll(fd);
+  server.stop();
+  return replies;
+}
+
+TEST_F(NetServerTest, UnterminatedLastLineIsAnsweredLikeStdin) {
+  const std::string bare = R"({"id":"b","kind":"wire"})";
+  const std::string expected = stdinReplies(bare);
+  ASSERT_NE(expected.find(R"("status":"ok")"), std::string::npos);
+  EXPECT_EQ(socketReplies(bare), expected);
+
+  // After a complete line, and with the CR of a CRLF client.
+  const std::string crlf = R"({"id":"a","kind":"wire"})" "\r\n"
+                           R"({"id":"c","kind":"wire"})" "\r";
+  EXPECT_EQ(socketReplies(crlf), stdinReplies(crlf));
+}
+
+TEST_F(NetServerTest, OversizeLineClosesThatConnectionOnly) {
+  enableMetrics();
+  auto mockPtr = std::make_unique<MockSocketOps>();
+  MockSocketOps& mock = *mockPtr;
+  svc::Service service;
+  NetServerOptions options;
+  options.tcpPort = 0;
+  options.maxLineBytes = 64;
+  NetServer server(service, options, std::move(mockPtr));
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+
+  const int big = mock.connectTcp(server.tcpPort());
+  ASSERT_GE(big, 0);
+  mock.clientSend(big, std::string(200, 'x'));  // no newline, past the cap
+  EXPECT_TRUE(waitFor([&] { return mock.serverClosed(big); }));
+
+  const int next = mock.connectTcp(server.tcpPort());
+  ASSERT_GE(next, 0);
+  mock.clientSend(next, R"({"id":"r","kind":"wire"})" "\n");
+  mock.clientCloseWrite(next);
+  EXPECT_NE(mock.clientReadAll(next).find(R"("status":"ok")"),
+            std::string::npos);
+  server.stop();
+  EXPECT_EQ(server.stats().oversizeCloses, 1u);
+  EXPECT_EQ(counterValue("net/oversize_closes"), 1);
+}
+
+TEST_F(NetServerTest, GarbageLinesEachGetOneInvalidReplyInOrder) {
+  std::vector<std::string> garbage = {
+      std::string(1, '\0'),
+      std::string("{\"id\":\"n\0\",\"kind\":\"wire\"}", 25),  // NUL in a string
+      "\xc3\x28",  // invalid UTF-8
+      "\xff{\"kind\":\"wire\"}",
+      R"({"id":"\ud800","kind":"wire"})",  // lone surrogate
+      "\r\r",  // a CR on its own (the last one is the CRLF strip)
+      "a\rb",
+      R"({"id":"u","kind":"wire")",  // unbalanced brackets
+      "[[[",
+      "]]",
+      "{{}",
+  };
+  // Seeded random bytes: anything but the line terminators.
+  util::Rng rng(16);
+  for (int i = 0; i < 48; ++i) {
+    std::string line;
+    const int length = rng.uniformInt(1, 40);
+    while (static_cast<int>(line.size()) < length) {
+      const char c = static_cast<char>(rng.uniformInt(0, 255));
+      if (c != '\n' && c != '\r') line.push_back(c);
+    }
+    garbage.push_back(line);
+  }
+  std::string input;
+  for (const std::string& line : garbage) input += line + "\n";
+
+  const std::string replies = socketReplies(input);
+  EXPECT_EQ(replies, stdinReplies(input));
+  const std::vector<std::string> lines = splitLines(replies);
+  ASSERT_EQ(lines.size(), garbage.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find(R"("status":"invalid")"), std::string::npos)
+        << "line " << i << ": " << lines[i];
+  }
 }
 
 TEST_F(NetServerTest, StartWithoutListenersFails) {

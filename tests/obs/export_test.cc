@@ -11,17 +11,6 @@
 namespace nano::obs {
 namespace {
 
-/// Minimal JSON field extraction: the numeric token following `"key":`
-/// after position `from`. Good enough to verify our own flat exporter.
-double jsonNumberAfter(const std::string& json, const std::string& key,
-                       std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle, from);
-  EXPECT_NE(pos, std::string::npos) << key;
-  if (pos == std::string::npos) return 0.0;
-  return std::stod(json.substr(pos + needle.size()));
-}
-
 class ExportTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -35,68 +24,6 @@ class ExportTest : public ::testing::Test {
   }
   bool wasEnabled_ = false;
 };
-
-TEST_F(ExportTest, JsonRoundTripsValues) {
-  auto& reg = MetricsRegistry::instance();
-  reg.counter("powergrid/cg_iterations").add(1234);
-  reg.gauge("powergrid/cg_residual").set(5.4321e-17);
-  reg.timer("sta/analyze").record(0.25);
-  reg.timer("sta/analyze").record(0.75);
-  { NANO_OBS_SPAN("run"); }
-
-  std::ostringstream os;
-  exportJson(os);
-  const std::string json = os.str();
-
-  EXPECT_EQ(jsonNumberAfter(json, "powergrid/cg_iterations"), 1234.0);
-  EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "powergrid/cg_residual"), 5.4321e-17);
-
-  const std::size_t timerPos = json.find("\"sta/analyze\":");
-  ASSERT_NE(timerPos, std::string::npos);
-  EXPECT_EQ(jsonNumberAfter(json, "count", timerPos), 2.0);
-  EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "total_s", timerPos), 1.0);
-  EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "mean_s", timerPos), 0.5);
-  EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "min_s", timerPos), 0.25);
-  EXPECT_DOUBLE_EQ(jsonNumberAfter(json, "max_s", timerPos), 0.75);
-
-  EXPECT_NE(json.find("\"spans\":{\"run\":"), std::string::npos);
-  EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
-}
-
-TEST_F(ExportTest, JsonEscapesNames) {
-  MetricsRegistry::instance().counter("weird\"name\\with\nstuff").add(1);
-  std::ostringstream os;
-  exportJson(os);
-  EXPECT_NE(os.str().find("weird\\\"name\\\\with\\nstuff"), std::string::npos);
-}
-
-TEST_F(ExportTest, CsvHasHeaderAndOneRowPerMetric) {
-  auto& reg = MetricsRegistry::instance();
-  reg.counter("c1").add(7);
-  reg.gauge("g1").set(3.25);
-  reg.timer("t1").record(1.0);
-  { NANO_OBS_SPAN("s1"); }
-
-  std::ostringstream os;
-  exportCsv(os);
-  std::istringstream in(os.str());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line,
-            "kind,name,count,total_s,min_s,max_s,mean_s,p50_s,p90_s,p99_s,"
-            "p999_s,value");
-  int rows = 0;
-  bool sawCounter = false;
-  while (std::getline(in, line)) {
-    ++rows;
-    if (line.rfind("counter,c1,", 0) == 0) {
-      sawCounter = true;
-      EXPECT_NE(line.find(",7"), std::string::npos);
-    }
-  }
-  EXPECT_EQ(rows, 4);
-  EXPECT_TRUE(sawCounter);
-}
 
 TEST_F(ExportTest, RunReportShowsAllSections) {
   auto& reg = MetricsRegistry::instance();

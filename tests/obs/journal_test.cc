@@ -21,18 +21,20 @@ class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     wasEnabled_ = enabled();
+    savedCapacity_ = journalCapacity();
     setEnabled(false);
     setTracingEnabled(true);
     journalReset();
   }
   void TearDown() override {
     setTracingEnabled(false);
-    setJournalCapacity(1 << 16);
+    setJournalCapacity(savedCapacity_);
     journalReset();
     setEnabled(wasEnabled_);
     MetricsRegistry::instance().reset();
   }
   bool wasEnabled_ = false;
+  std::size_t savedCapacity_ = 0;
 };
 
 /// Events recorded by this test run only (the journal is process-global,

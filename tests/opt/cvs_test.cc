@@ -4,6 +4,7 @@
 
 #include "circuit/generator.h"
 #include "opt/level_converter.h"
+#include "support/inverter_chain.h"
 
 namespace nano::opt {
 namespace {

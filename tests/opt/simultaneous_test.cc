@@ -5,6 +5,7 @@
 #include "circuit/generator.h"
 #include "opt/dual_vth.h"
 #include "opt/sizing.h"
+#include "support/inverter_chain.h"
 
 namespace nano::opt {
 namespace {

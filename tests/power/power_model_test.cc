@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/generator.h"
+#include "support/inverter_chain.h"
 #include "util/units.h"
 
 namespace nano::power {

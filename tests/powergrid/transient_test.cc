@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "obs/metrics.h"
-
 namespace nano::powergrid {
 namespace {
 
@@ -78,62 +74,6 @@ TEST(Wakeup, CurrentTransientsGrowDownRoadmap) {
     const TransientReport rep = wakeupTransient(node, node.itrsVddPads);
     EXPECT_GT(rep.deltaCurrent, prev) << f;
     prev = rep.deltaCurrent;
-  }
-}
-
-TEST(MeshTransient, RampSamplesAreMonotoneAndPeakAtFullPower) {
-  const auto& node = tech::nodeByFeature(50);
-  TransientConfig cfg;
-  cfg.idleFraction = 0.1;
-  const int steps = 6;
-  const MeshTransientReport rep = wakeupMeshTransient(node, cfg, steps);
-  ASSERT_EQ(rep.times.size(), static_cast<std::size_t>(steps) + 1);
-  ASSERT_EQ(rep.dropFraction.size(), rep.times.size());
-  EXPECT_TRUE(rep.converged);
-  EXPECT_GT(rep.unknowns, 0u);
-  // The load vector scales linearly with the ramp while the conductances
-  // are fixed, so the worst drop must grow monotonically from the idle
-  // level to the full-power peak.
-  for (std::size_t i = 1; i < rep.dropFraction.size(); ++i) {
-    EXPECT_GE(rep.dropFraction[i], rep.dropFraction[i - 1]) << i;
-    EXPECT_GT(rep.times[i], rep.times[i - 1]) << i;
-  }
-  EXPECT_DOUBLE_EQ(rep.peakDropFraction, rep.dropFraction.back());
-  EXPECT_NEAR(rep.dropFraction.front(),
-              cfg.idleFraction * rep.peakDropFraction,
-              1e-9 * rep.peakDropFraction);
-}
-
-TEST(MeshTransient, RampReusesOneAssemblyAcrossAllSamples) {
-  const bool wasEnabled = obs::enabled();
-  obs::setEnabled(true);
-  obs::MetricsRegistry::instance().reset();
-  GridModel::clearCache();
-  const auto& node = tech::nodeByFeature(35);
-  const MeshTransientReport rep = wakeupMeshTransient(node, {}, 8);
-  EXPECT_TRUE(rep.converged);
-  auto& registry = obs::MetricsRegistry::instance();
-  EXPECT_EQ(registry.counter("powergrid/grid_assemblies").value(), 1);
-  EXPECT_GE(registry.counter("powergrid/grid_assembly_reuses").value(), 8);
-  obs::setEnabled(wasEnabled);
-}
-
-TEST(MeshTransient, SolverChoiceDoesNotChangeTheRamp) {
-  const auto& node = tech::nodeByFeature(70);
-  GridSolverOptions jacobi;
-  jacobi.preconditioner = PreconditionerKind::Jacobi;
-  GridSolverOptions multigrid;
-  multigrid.preconditioner = PreconditionerKind::Multigrid;
-  const auto a = wakeupMeshTransient(node, {}, 4, jacobi);
-  const auto b = wakeupMeshTransient(node, {}, 4, multigrid);
-  ASSERT_EQ(a.dropFraction.size(), b.dropFraction.size());
-  // The default mesh is small enough that the hierarchy may stop at the
-  // direct-solve level; it must still be the multigrid path that ran.
-  EXPECT_GE(b.mgLevels, 1);
-  for (std::size_t i = 0; i < a.dropFraction.size(); ++i) {
-    EXPECT_NEAR(b.dropFraction[i], a.dropFraction[i],
-                1e-8 * std::max(a.dropFraction[i], 1e-12))
-        << i;
   }
 }
 

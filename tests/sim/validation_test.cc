@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "device/gate_model.h"
-#include "interconnect/elmore.h"
+#include "support/elmore.h"
 #include "sim/circuit_sim.h"
 #include "util/units.h"
 

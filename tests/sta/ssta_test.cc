@@ -6,6 +6,7 @@
 
 #include "circuit/generator.h"
 #include "sta/sta.h"
+#include "support/inverter_chain.h"
 
 namespace nano::sta {
 namespace {
@@ -108,31 +109,6 @@ TEST(Ssta, YieldMonotoneInClock) {
     EXPECT_GE(y, prev);
     prev = y;
   }
-}
-
-TEST(Ssta, MarginSigmasInvertsNormal) {
-  EXPECT_NEAR(marginSigmasForYield(0.5), 0.0, 1e-6);
-  EXPECT_NEAR(marginSigmasForYield(0.9986501), 3.0, 1e-3);
-  EXPECT_THROW(marginSigmasForYield(0.0), std::invalid_argument);
-  EXPECT_THROW(marginSigmasForYield(1.0), std::invalid_argument);
-}
-
-TEST(Ssta, MarginSigmasCheckedReportsStatus) {
-  const YieldMargin ok = marginSigmasForYieldChecked(0.5);
-  EXPECT_TRUE(ok.diag.ok());
-  EXPECT_NEAR(ok.sigmas, 0.0, 1e-6);
-  EXPECT_STREQ(ok.diag.kernel, "sta/yield_margin");
-
-  // A NaN yield slips through `yield <= 0 || yield >= 1` (every comparison
-  // with NaN is false); the checked path must classify it explicitly.
-  const YieldMargin nan = marginSigmasForYieldChecked(std::nan(""));
-  EXPECT_EQ(nan.diag.status, util::SolverStatus::NanDetected);
-  EXPECT_THROW(marginSigmasForYield(std::nan("")), std::invalid_argument);
-
-  EXPECT_EQ(marginSigmasForYieldChecked(0.0).diag.status,
-            util::SolverStatus::BracketFailure);
-  EXPECT_EQ(marginSigmasForYieldChecked(1.0).diag.status,
-            util::SolverStatus::BracketFailure);
 }
 
 TEST(Ssta, RejectsNanSensitivity) {

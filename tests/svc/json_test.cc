@@ -68,6 +68,28 @@ TEST(JsonParse, RejectsRunawayNesting) {
   EXPECT_THROW(parseJson(deep), std::invalid_argument);
 }
 
+std::string nestedArrays(int levels) {
+  return std::string(static_cast<std::size_t>(levels), '[') +
+         std::string(static_cast<std::size_t>(levels), ']');
+}
+
+std::string nestedObjects(int levels) {
+  std::string text;
+  for (int i = 0; i < levels; ++i) text += "{\"a\":";
+  text += "1";
+  text += std::string(static_cast<std::size_t>(levels), '}');
+  return text;
+}
+
+// The limit counts containers, not values: empty arrays and objects with a
+// scalar leaf both parse at 64 levels and both fail at 65.
+TEST(JsonParse, NestingLimitIsSixtyFourContainersOfEitherKind) {
+  EXPECT_NO_THROW(parseJson(nestedArrays(64)));
+  EXPECT_NO_THROW(parseJson(nestedObjects(64)));
+  EXPECT_THROW(parseJson(nestedArrays(65)), std::invalid_argument);
+  EXPECT_THROW(parseJson(nestedObjects(65)), std::invalid_argument);
+}
+
 TEST(JsonWrite, CompactDeterministicInsertionOrder) {
   JsonValue obj = JsonValue::object();
   obj.set("z", 1);

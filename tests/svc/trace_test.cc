@@ -24,6 +24,7 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     wasEnabled_ = obs::enabled();
+    savedCapacity_ = obs::journalCapacity();
     obs::setEnabled(true);
     obs::setTracingEnabled(true);
     obs::MetricsRegistry::instance().reset();
@@ -31,13 +32,14 @@ class TraceTest : public ::testing::Test {
   }
   void TearDown() override {
     obs::setTracingEnabled(false);
-    obs::setJournalCapacity(1 << 16);
+    obs::setJournalCapacity(savedCapacity_);
     obs::journalReset();
     obs::setEnabled(wasEnabled_);
     obs::MetricsRegistry::instance().reset();
     exec::setGlobalThreadCount(exec::defaultThreadCount());
   }
   bool wasEnabled_ = false;
+  std::size_t savedCapacity_ = 0;
 };
 
 ServiceOptions replayOptions() {

@@ -9,29 +9,36 @@
 namespace nano::thermal {
 namespace {
 
+/// Time-averaged power fraction of a trace.
+double average(const PowerTrace& trace) {
+  double sum = 0.0;
+  for (const auto& p : trace.phases) sum += p.duration * p.powerFraction;
+  return sum / trace.totalDuration();
+}
+
+/// Largest phase power fraction of a trace.
+double peak(const PowerTrace& trace) {
+  double most = 0.0;
+  for (const auto& p : trace.phases) most = std::max(most, p.powerFraction);
+  return most;
+}
+
 TEST(PowerTrace, AtAndDuration) {
   PowerTrace t;
   t.phases = {{1.0, 0.5}, {2.0, 0.8}};
   EXPECT_DOUBLE_EQ(t.totalDuration(), 3.0);
-  EXPECT_DOUBLE_EQ(t.at(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(t.at(1.5), 0.8);
-  EXPECT_DOUBLE_EQ(t.at(10.0), 0.8);  // clamps
-}
-
-TEST(PowerTrace, AverageAndPeak) {
-  PowerTrace t;
-  t.phases = {{1.0, 0.4}, {1.0, 0.6}};
-  EXPECT_DOUBLE_EQ(t.average(), 0.5);
-  EXPECT_DOUBLE_EQ(t.peak(), 0.6);
+  PowerTrace::Cursor cursor(t);
+  EXPECT_DOUBLE_EQ(cursor.at(0.5), 0.5);
+  EXPECT_DOUBLE_EQ(cursor.at(1.5), 0.8);
+  EXPECT_DOUBLE_EQ(cursor.at(10.0), 0.8);  // clamps
 }
 
 TEST(PowerTrace, AtOnEmptyThrows) {
   PowerTrace t;
-  EXPECT_THROW(static_cast<void>(t.at(0.0)), std::logic_error);
   EXPECT_THROW(PowerTrace::Cursor{t}, std::logic_error);
 }
 
-// The historical at(): re-scan from phase 0 for every lookup. Kept as the
+// The historical lookup: re-scan from phase 0 for every time. Kept as the
 // slow reference the cursor must agree with bit for bit.
 double scanAt(const PowerTrace& trace, double t) {
   double acc = 0.0;
@@ -62,11 +69,13 @@ TEST(PowerTraceCursor, MatchesScanOnPhaseEndsZeroPhasesAndPastTheEnd) {
   PowerTrace::Cursor cursor(trace);
   for (double t : times) {
     EXPECT_EQ(cursor.at(t), scanAt(trace, t)) << "t=" << t;
-    EXPECT_EQ(trace.at(t), scanAt(trace, t)) << "t=" << t;
+    EXPECT_EQ(PowerTrace::Cursor(trace).at(t), scanAt(trace, t))
+        << "fresh t=" << t;
     EXPECT_EQ(cursor.at(t), scanAt(trace, t)) << "repeat t=" << t;
   }
-  EXPECT_EQ(trace.at(0.25), 0.4);  // a phase end selects the next phase
-  EXPECT_EQ(trace.at(10.0), 0.6);
+  // A phase end selects the next phase.
+  EXPECT_EQ(PowerTrace::Cursor(trace).at(0.25), 0.4);
+  EXPECT_EQ(PowerTrace::Cursor(trace).at(10.0), 0.6);
 }
 
 TEST(PowerTraceCursor, MatchesScanWhenStepsSkipWholePhases) {
@@ -81,18 +90,18 @@ TEST(PowerTraceCursor, MatchesScanWhenStepsSkipWholePhases) {
 
 TEST(PowerVirus, SustainedWorstCase) {
   const PowerTrace t = powerVirus(2.0);
-  EXPECT_DOUBLE_EQ(t.average(), 1.0);
-  EXPECT_DOUBLE_EQ(t.peak(), 1.0);
+  EXPECT_DOUBLE_EQ(average(t), 1.0);
+  EXPECT_DOUBLE_EQ(peak(t), 1.0);
   EXPECT_DOUBLE_EQ(t.totalDuration(), 2.0);
 }
 
 TEST(TypicalApplication, PeaksAtEffectiveWorstCase) {
   util::Rng rng(123);
   const PowerTrace t = typicalApplication(rng, 0.1);
-  EXPECT_LE(t.peak(), 0.751);
-  EXPECT_GE(t.peak(), 0.5);
-  EXPECT_LT(t.average(), 0.75);
-  EXPECT_GT(t.average(), 0.3);
+  EXPECT_LE(peak(t), 0.751);
+  EXPECT_GE(peak(t), 0.5);
+  EXPECT_LT(average(t), 0.75);
+  EXPECT_GT(average(t), 0.3);
   EXPECT_NEAR(t.totalDuration(), 0.1, 1e-9);
 }
 
@@ -113,10 +122,11 @@ TEST(TypicalApplication, Rejections) {
 
 TEST(IdleBurst, AlternatesActiveAndIdle) {
   const PowerTrace t = idleBurst(1.0, 0.2, 0.5, 0.05);
-  EXPECT_DOUBLE_EQ(t.peak(), 1.0);
-  EXPECT_NEAR(t.average(), 0.5 * 1.0 + 0.5 * 0.05, 0.01);
-  EXPECT_DOUBLE_EQ(t.at(0.05), 1.0);
-  EXPECT_DOUBLE_EQ(t.at(0.15), 0.05);
+  EXPECT_DOUBLE_EQ(peak(t), 1.0);
+  EXPECT_NEAR(average(t), 0.5 * 1.0 + 0.5 * 0.05, 0.01);
+  PowerTrace::Cursor cursor(t);
+  EXPECT_DOUBLE_EQ(cursor.at(0.05), 1.0);
+  EXPECT_DOUBLE_EQ(cursor.at(0.15), 0.05);
 }
 
 TEST(IdleBurst, Rejections) {

@@ -18,7 +18,13 @@ std::string slurp(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "nanodesign_csv_test.csv";
+  // One file per test: ctest runs each test as its own process, in
+  // parallel, so a shared name would let one test's TearDown delete
+  // another's file.
+  std::string path_ =
+      ::testing::TempDir() + "nanodesign_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

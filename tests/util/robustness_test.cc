@@ -73,13 +73,6 @@ TEST(TryBisect, MaxIterationsReported) {
   EXPECT_LE(r.x, 1.0);
 }
 
-TEST(TryBisect, ConvergedMatchesThrowingVersion) {
-  auto a = tryBisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  auto b = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_EQ(a.status, SolverStatus::Converged);
-  EXPECT_DOUBLE_EQ(a.x, b.x);
-}
-
 // ------------------------------------------------------------- tryBrent
 
 TEST(TryBrent, PoisonedEvaluationKeepsBestIterate) {
@@ -212,26 +205,14 @@ TEST(TryMinimizeGolden, NanInputs) {
   EXPECT_EQ(r.status, SolverStatus::NanDetected);
 }
 
-// ----------------------------------------- throwing wrappers still throw
+// ------------------------------------- the throwing wrapper still throws
 
 TEST(ThrowingWrappers, TranslateStatusesToExceptions) {
-  EXPECT_THROW(bisect([](double) { return 1.0; }, 0.0, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW(brent([](double) { return 1.0; }, 0.0, 1.0),
-               std::invalid_argument);
   EXPECT_THROW(
       bracketAndSolve([](double x) { return x * x + 1.0; }, 0.0, 1.0, 4),
       std::invalid_argument);
   FaultyFn nan = FaultyFn::nanAfter([](double x) { return x - 0.5; }, 0);
-  EXPECT_THROW(bisect(nan.fn(), 0.0, 1.0), std::invalid_argument);
-}
-
-TEST(ThrowingWrappers, MaxIterationsIsNotAnException) {
-  // Historical contract: exhausting the budget returns converged=false,
-  // it does not throw.
-  auto r = brent([](double x) { return std::cos(x) - x; }, 0.0, 1.0, 1e-15, 2);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.status, SolverStatus::MaxIterations);
+  EXPECT_THROW(bracketAndSolve(nan.fn(), 0.0, 1.0), std::invalid_argument);
 }
 
 // --------------------------------------------------- harness self-checks

@@ -5,27 +5,6 @@
 namespace nano::util {
 namespace {
 
-TEST(Summarize, BasicMoments) {
-  Summary s = summarize({1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, 1.2909944487358056, 1e-12);
-}
-
-TEST(Summarize, EmptyInput) {
-  Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Summarize, SingleValue) {
-  Summary s = summarize({7.0});
-  EXPECT_DOUBLE_EQ(s.mean, 7.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-}
-
 TEST(Percentile, MedianAndQuartiles) {
   std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
@@ -60,22 +39,6 @@ TEST(Histogram, ClampsOutOfRange) {
   h.add(5.0);
   EXPECT_EQ(h.count(0), 1u);
   EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.binHi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.binLo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.binHi(4), 10.0);
-}
-
-TEST(Histogram, CumulativeBelow) {
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 100; ++i) h.add((i + 0.5) / 100.0);
-  EXPECT_NEAR(h.cumulativeBelow(0.5), 0.5, 0.01);
-  EXPECT_DOUBLE_EQ(h.cumulativeBelow(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.cumulativeBelow(2.0), 1.0);
 }
 
 TEST(Histogram, RejectsBadRange) {
