@@ -10,7 +10,6 @@
 #include "core/design_space.h"
 #include "device/mosfet.h"
 #include "exec/exec.h"
-#include "kernel/device_batch.h"
 #include "kernel/dispatch.h"
 #include "obs/obs.h"
 #include "opt/cvs.h"
@@ -181,8 +180,10 @@ BENCHMARK(BM_IncrementalSta)
     ->Arg(100000)
     ->Arg(1000000);
 
-// Design-space sweep on the nano::exec pool (items = grid points/s).
-// Compare NANO_EXEC_THREADS=1 against the core count for the speedup.
+// Design-space sweep on the nano::exec pool (items = grid points per
+// wall-clock second: pool workers do the work, so the calling thread's CPU
+// time undercounts it). Compare NANO_EXEC_THREADS=1 against the core count
+// for the speedup.
 void BM_Sweep(benchmark::State& state) {
   core::DesignSpaceOptions options;
   options.vddSteps = static_cast<int>(state.range(0));
@@ -194,7 +195,11 @@ void BM_Sweep(benchmark::State& state) {
                           state.range(0));
   state.counters["threads"] = exec::threadCount();
 }
-BENCHMARK(BM_Sweep)->Arg(15)->Arg(30)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sweep)
+    ->Arg(15)
+    ->Arg(30)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Power-grid solve at paper scale: subdivisions 8/32/128 on a 10x10-tile
 // waffle span ~25k to ~413k unknowns. The second argument selects the CG
@@ -225,7 +230,8 @@ void BM_GridSolve(benchmark::State& state) {
     cgIterations = sol.cgIterations;
     benchmark::DoNotOptimize(sol.maxDrop);
   }
-  // unknowns solved per second; iteration count tracks solver health
+  // unknowns solved per wall-clock second (the multigrid smoothers run on
+  // the exec pool); iteration count tracks solver health
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(unknowns));
   state.counters["unknowns"] = static_cast<double>(unknowns);
@@ -239,13 +245,14 @@ BENCHMARK(BM_GridSolve)
     ->Args({32, 0})
     ->Args({32, 1})
     ->Args({128, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---- nano::kernel batch micro-benchmarks (items = elements/s) ----------
 // The second argument names the dispatch ISA (0 = scalar reference, 1 =
 // AVX2 when the CPU has it). BM_KernelSpmv pins it so before/after JSON
 // captures the specialization win, independent of thread count; the
-// device batches are plain loops and always run the same code.
+// device rows are plain Mosfet loops and always run the same code.
 
 /// Restores the dispatch ISA that was active when it was built, so a
 /// benchmark that forces one leaves a NANO_KERNEL_ISA pin intact for
@@ -265,75 +272,81 @@ bool forceIsa(benchmark::State& state) {
   return true;
 }
 
-// Prepared device Ion over a (Vth, Vdd) sweep batch. A plain scalar loop
-// by design (libm-bound); the win is the prepared constants and the
-// Illinois solve, visible against BM_VthSolve/BM_Sweep history.
-void BM_KernelIonBatch(benchmark::State& state) {
+/// A (Vth, Vdd) sweep batch of `n` points on the 35 nm device, with one
+/// withVth() copy of a prepared device per point: the core sweeps make one
+/// copy per point and evaluate both Ion and Ioff on it.
+struct DeviceBatch {
+  std::vector<double> vth, bias;
+  std::vector<device::Mosfet> devices;
+};
+
+DeviceBatch deviceBatch(std::size_t n) {
   const auto& node = tech::nodeByFeature(35);
-  const kernel::DeviceKernel kern = kernel::DeviceKernel::fromNode(node, node.vdd);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> vth(n), bias(n), out(n);
+  const device::Mosfet base = device::Mosfet::fromNode(node, 0.0, node.vdd);
+  DeviceBatch b;
   for (std::size_t i = 0; i < n; ++i) {
-    vth[i] = -0.05 + 0.35 * static_cast<double>(i) / static_cast<double>(n);
-    bias[i] = 0.2 + 0.4 * static_cast<double>(i) / static_cast<double>(n);
+    const double k = static_cast<double>(i);
+    const double total = static_cast<double>(n);
+    b.vth.push_back(-0.05 + 0.35 * k / total);
+    b.bias.push_back(0.2 + 0.4 * k / total);
+    b.devices.push_back(base.withVth(b.vth.back()));
   }
+  return b;
+}
+
+// Device Ion over a sweep batch. A plain scalar loop by design
+// (libm-bound); the win is the constants the Mosfet constructor hoists
+// and the Illinois solve, visible against BM_VthSolve/BM_Sweep history.
+void BM_KernelIonBatch(benchmark::State& state) {
+  const DeviceBatch b = deviceBatch(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> out(b.bias.size());
   for (auto _ : state) {
-    kern.ionBatch(vth, bias, bias, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = b.devices[i].ionSelfConsistent(b.bias[i], b.bias[i]);
+    }
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
 }
 BENCHMARK(BM_KernelIonBatch)->ArgNames({"n", "isa"})->Args({4096, 0});
 
 void BM_KernelIoffBatch(benchmark::State& state) {
-  const auto& node = tech::nodeByFeature(35);
-  const kernel::DeviceKernel kern = kernel::DeviceKernel::fromNode(node, node.vdd);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> vth(n), bias(n), out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    vth[i] = -0.05 + 0.35 * static_cast<double>(i) / static_cast<double>(n);
-    bias[i] = 0.2 + 0.4 * static_cast<double>(i) / static_cast<double>(n);
-  }
+  const DeviceBatch b = deviceBatch(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> out(b.bias.size());
   for (auto _ : state) {
-    kern.ioffBatch(vth, bias, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = b.devices[i].ioff(b.bias[i]);
+    }
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
 }
 BENCHMARK(BM_KernelIoffBatch)->ArgNames({"n", "isa"})->Args({4096, 0});
 
-// Baseline for the two batches above: the sweep inner kernel as it stood
-// before the batch layer, rebuilding a Mosfet per point for the delay leg
-// and again for the leakage leg (exactly what core::evaluate() used to
-// do). The ratio against BM_KernelIonBatch + BM_KernelIoffBatch is the
-// prepared-evaluator win in isolation.
+// Baseline for the two rows above: the sweep inner kernel rebuilding a
+// Mosfet per point for the delay leg and again for the leakage leg, so
+// every constant is derived twice per point.
 void BM_KernelSweepInnerLegacy(benchmark::State& state) {
   const auto& node = tech::nodeByFeature(35);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> vth(n), bias(n), ion(n), ioff(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    vth[i] = -0.05 + 0.35 * static_cast<double>(i) / static_cast<double>(n);
-    bias[i] = 0.2 + 0.4 * static_cast<double>(i) / static_cast<double>(n);
-  }
+  const DeviceBatch b = deviceBatch(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> ion(b.vth.size()), ioff(b.vth.size());
   for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      {
-        device::MosfetParams p =
-            device::Mosfet::fromNode(node, vth[i]).params();
-        p.vddReference = node.vdd;
-        ion[i] = device::Mosfet(p).ionSelfConsistent(bias[i], bias[i]);
-      }
-      {
-        device::MosfetParams p =
-            device::Mosfet::fromNode(node, vth[i]).params();
-        p.vddReference = node.vdd;
-        ioff[i] = device::Mosfet(p).ioff(bias[i]);
-      }
+    for (std::size_t i = 0; i < b.vth.size(); ++i) {
+      ion[i] = device::Mosfet::fromNode(node, b.vth[i], node.vdd)
+                   .ionSelfConsistent(b.bias[i], b.bias[i]);
+      ioff[i] =
+          device::Mosfet::fromNode(node, b.vth[i], node.vdd).ioff(b.bias[i]);
     }
     benchmark::DoNotOptimize(ion.data());
     benchmark::DoNotOptimize(ioff.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(b.vth.size()));
 }
 BENCHMARK(BM_KernelSweepInnerLegacy)->ArgNames({"n", "isa"})->Args({4096, 0});
 
@@ -371,7 +384,8 @@ BENCHMARK(BM_KernelSpmv)
 // Service-layer throughput: a mixed query stream (8x repetition of a
 // unique set, like a sweep client re-asking overlapping questions) pushed
 // through the full stack — parse-free submit, scheduler batching, cache +
-// in-flight dedup, evaluation on the exec pool. Items = requests/s; the
+// in-flight dedup, evaluation on the exec pool. Items = requests per
+// wall-clock second (the timed thread only waits on futures); the
 // hit_rate counter reports the fraction served from cache.
 void BM_SvcThroughput(benchmark::State& state) {
   constexpr int kUnique = 64;
@@ -420,7 +434,7 @@ void BM_SvcThroughput(benchmark::State& state) {
   state.counters["threads"] = exec::threadCount();
   state.counters["hit_rate"] = (hits + joins) / (hits + joins + misses);
 }
-BENCHMARK(BM_SvcThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvcThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Closed-loop scenario engine: one DTM run of Arg(0) steps over the
 // cached canonical plant. Items = integration steps/s; the plant build
@@ -482,7 +496,8 @@ void BM_TransientSim(benchmark::State& state) {
   const auto& node = tech::nodeByFeature(100);
   const double vth = device::solveVthForIon(node, node.ionTarget);
   auto model =
-      std::make_shared<device::Mosfet>(device::Mosfet::fromNode(node, vth));
+      std::make_shared<device::Mosfet>(
+          device::Mosfet::fromNode(node, vth, node.vdd));
   device::InverterModel inv(node, vth, node.vdd);
   sim::Circuit ckt;
   const int vdd = ckt.node();

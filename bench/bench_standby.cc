@@ -63,7 +63,7 @@ int main() {
   for (int f : tech::roadmapFeatures()) {
     const auto& node = tech::nodeByFeature(f);
     const double vth = device::solveVthForIon(node, node.ionTarget);
-    const auto dev = device::Mosfet::fromNode(node, vth);
+    const auto dev = device::Mosfet::fromNode(node, vth, node.vdd);
     const auto mixed = power::mixedVthStack(node, vth, vth + 0.1);
     s.addRow({std::to_string(f),
               fmt(power::stackLeakageFactor(dev, 2), 2) + "x",

@@ -44,14 +44,13 @@ int main() {
   const double vthAt09 = device::solveVthForIon(n70, n70.ionTarget);
   const double vthAt12 =
       device::solveVthForIon(n70, n70.ionTarget, device::GateStack::Poly, 1.2);
-  device::MosfetParams p12 = device::Mosfet::fromNode(n70, vthAt12).params();
-  p12.vddReference = 1.2;
   std::cout << " * model: 70 nm meets 750 uA/um at 0.9 V only with Vth = "
             << fmt(vthAt09, 3) << " V (Ioff "
-            << fmt(device::Mosfet::fromNode(n70, vthAt09).ioff() * 1e3, 0)
+            << fmt(device::Mosfet::fromNode(n70, vthAt09, n70.vdd).ioff() * 1e3,
+                   0)
             << " nA/um); at 1.2 V a comfortable Vth = " << fmt(vthAt12, 3)
             << " V suffices (Ioff "
-            << fmt(device::Mosfet(p12).ioff() * 1e3, 1)
+            << fmt(device::Mosfet::fromNode(n70, vthAt12, 1.2).ioff() * 1e3, 1)
             << " nA/um), matching the published 1.2 V parts\n";
   return 0;
 }

@@ -77,7 +77,7 @@ int main() {
   for (int f : {70, 50, 35}) {
     const auto& n = tech::nodeByFeature(f);
     const double vth = device::solveVthForIon(n, n.ionTarget);
-    const auto dev = device::Mosfet::fromNode(n, vth);
+    const auto dev = device::Mosfet::fromNode(n, vth, n.vdd);
     const double totalWidth = static_cast<double>(n.logicTransistors) / 2.0 *
                               3.0 * (n.featureNm * nm);
     const double standby = dev.ioff() * totalWidth;

@@ -44,7 +44,8 @@ void runInstrumentedMiniFlow(int feature) {
 
   const double vth = device::solveVthForIon(node, node.ionTarget);
   auto model =
-      std::make_shared<device::Mosfet>(device::Mosfet::fromNode(node, vth));
+      std::make_shared<device::Mosfet>(
+          device::Mosfet::fromNode(node, vth, node.vdd));
   device::InverterModel inv(node, vth, node.vdd);
   sim::Circuit ckt;
   const int vdd = ckt.node();

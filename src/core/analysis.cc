@@ -14,11 +14,13 @@ NodeSummary summarizeNode(int featureNm) {
   s.node = &node;
 
   s.vthRequired = device::solveVthForIon(node, node.ionTarget);
-  const device::Mosfet dev = device::Mosfet::fromNode(node, s.vthRequired);
+  const device::Mosfet dev =
+      device::Mosfet::fromNode(node, s.vthRequired, node.vdd);
   s.ionUaUm = dev.ion() / uA_per_um;
   s.ioffNaUm = dev.ioff() / nA_per_um;
   const device::Mosfet hot = device::Mosfet::fromNode(
-      node, s.vthRequired, device::GateStack::Poly, fromCelsius(85.0));
+      node, s.vthRequired, node.vdd, device::GateStack::Poly,
+      fromCelsius(85.0));
   s.ioffHotNaUm = hot.ioff() / nA_per_um;
 
   const device::InverterModel inv(node, s.vthRequired, node.vdd);

@@ -2,80 +2,63 @@
 
 #include <cmath>
 #include <limits>
-#include <span>
 #include <stdexcept>
 
 #include "device/gate_model.h"
-#include "device/mosfet.h"
 #include "exec/exec.h"
-#include "kernel/device_batch.h"
 #include "obs/obs.h"
 #include "util/numeric.h"
 
 namespace nano::core {
 
-namespace {
-
-/// Nominal-corner reference shared by all points of one exploration. The
-/// prepared DeviceKernel replaces the historical Mosfet-per-point
-/// construction (which re-derived Cox, mobility and swing twice per grid
-/// cell); its evaluators are bit-identical to that path.
-struct Reference {
-  kernel::DeviceKernel kern;
-  const tech::TechNode* node = nullptr;
-  double vdd0 = 0.0;
-  double vth0 = 0.0;
-  double loadCap = 0.0;
-  double widthEff = 0.0;
-  double freq = 0.0;
-  double activity = 0.0;
-  double delay0 = 0.0;
-  double pdyn0 = 0.0;
-  double pstat0 = 0.0;
-};
-
-double delayAt(const Reference& ref, double vdd, double vthDesign) {
-  return ref.loadCap * vdd / ref.kern.ion(vthDesign, vdd, vdd);
-}
-
-double pdynAt(const Reference& ref, double vdd) {
-  return ref.activity * ref.loadCap * vdd * vdd * ref.freq;
-}
-
-double pstatAt(const Reference& ref, double vdd, double vthDesign) {
-  return vdd * ref.kern.ioff(vthDesign, vdd) * ref.widthEff;
-}
-
-Reference makeReference(const DesignSpaceOptions& options) {
-  const tech::TechNode& node = tech::nodeByFeature(options.nodeNm);
+SweepReference makeSweepReference(int nodeNm, double activity) {
+  const tech::TechNode& node = tech::nodeByFeature(nodeNm);
+  const double vth0 = device::solveVthForIon(node, node.ionTarget);
   // Vth is specified at nominal Vdd; DIBL applies below it.
-  Reference ref{kernel::DeviceKernel::fromNode(node, node.vdd)};
-  ref.node = &node;
+  SweepReference ref{device::Mosfet::fromNode(node, vth0, node.vdd)};
   ref.vdd0 = node.vdd;
-  ref.vth0 = device::solveVthForIon(*ref.node, ref.node->ionTarget);
-  const device::InverterModel inv(*ref.node, ref.vth0, ref.vdd0);
+  ref.vth0 = vth0;
+  const device::InverterModel inv(node, ref.vth0, ref.vdd0);
   ref.loadCap = 4.0 * inv.inputCap() +
-                ref.node->localWireCapPerM * ref.node->avgLocalWireLength +
+                node.localWireCapPerM * node.avgLocalWireLength +
                 inv.outputCap();
   ref.widthEff = 0.5 * (inv.wn() + device::kPmosCurrentFactor * inv.wp());
-  ref.freq = ref.node->clockLocal;
-  ref.activity = options.activity;
-  ref.delay0 = delayAt(ref, ref.vdd0, ref.vth0);
-  ref.pdyn0 = pdynAt(ref, ref.vdd0);
-  ref.pstat0 = pstatAt(ref, ref.vdd0, ref.vth0);
+  ref.freq = node.clockLocal;
+  ref.activity = activity;
+  ref.delay0 = ref.delay(ref.vdd0, ref.vth0);
+  ref.pdyn0 = ref.pdyn(ref.vdd0);
+  ref.ioff0 = ref.device.ioff(ref.vdd0);
+  ref.pstat0 = ref.pstat(ref.vdd0, ref.vth0);
   return ref;
 }
 
-/// Assemble a point from already-evaluated currents (the batch path) with
-/// the exact expressions of the scalar helpers above.
-OperatingPoint fromCurrents(const Reference& ref, double vdd,
-                            double vthDesign, double ionA, double ioffA) {
+double SweepReference::delay(double vdd, double vthDesign) const {
+  const double ion = device.withVth(vthDesign).ionSelfConsistent(vdd, vdd);
+  return loadCap * vdd / ion;
+}
+
+double SweepReference::pdyn(double vdd) const {
+  return activity * loadCap * vdd * vdd * freq;
+}
+
+double SweepReference::pstat(double vdd, double vthDesign) const {
+  return vdd * device.withVth(vthDesign).ioff(vdd) * widthEff;
+}
+
+namespace {
+
+/// One point, with Ion and Ioff from one device copy and the expressions
+/// of the SweepReference helpers.
+OperatingPoint evaluate(const SweepReference& ref, double vdd,
+                        double vthDesign) {
+  const device::Mosfet dev = ref.device.withVth(vthDesign);
   OperatingPoint pt;
   pt.vdd = vdd;
   pt.vthDesign = vthDesign;
-  pt.delayNorm = ref.loadCap * vdd / ionA / ref.delay0;
-  const double pdyn = pdynAt(ref, vdd);
-  const double pstat = vdd * ioffA * ref.widthEff;
+  pt.delayNorm = ref.loadCap * vdd / dev.ionSelfConsistent(vdd, vdd) /
+                 ref.delay0;
+  const double pdyn = ref.pdyn(vdd);
+  const double pstat = vdd * dev.ioff(vdd) * ref.widthEff;
   pt.pdynNorm = pdyn / ref.pdyn0;
   pt.pstatNorm = pstat / ref.pstat0;
   pt.ptotalNorm = (pdyn + pstat) / (ref.pdyn0 + ref.pstat0);
@@ -83,17 +66,13 @@ OperatingPoint fromCurrents(const Reference& ref, double vdd,
   return pt;
 }
 
-OperatingPoint evaluate(const Reference& ref, double vdd, double vthDesign) {
-  return fromCurrents(ref, vdd, vthDesign, ref.kern.ion(vthDesign, vdd, vdd),
-                      ref.kern.ioff(vthDesign, vdd));
-}
-
 }  // namespace
 
 OperatingPoint evaluatePoint(const DesignSpaceOptions& options, double vdd,
                              double vthDesign) {
   if (vdd <= 0) throw std::invalid_argument("evaluatePoint: vdd <= 0");
-  return evaluate(makeReference(options), vdd, vthDesign);
+  return evaluate(makeSweepReference(options.nodeNm, options.activity), vdd,
+                  vthDesign);
 }
 
 std::vector<OperatingPoint> exploreDesignSpace(
@@ -101,40 +80,18 @@ std::vector<OperatingPoint> exploreDesignSpace(
   if (options.vddSteps < 2 || options.vthSteps < 2) {
     throw std::invalid_argument("exploreDesignSpace: need >= 2 steps");
   }
-  const Reference ref = makeReference(options);
+  const SweepReference ref =
+      makeSweepReference(options.nodeNm, options.activity);
   // Flatten the Vdd x Vth grid so every cell is one independent slot;
   // slot k = (vdd index, vth index) reproduces the serial nesting order.
   const std::vector<double> vdds =
       util::linspace(options.vddMin, ref.vdd0, options.vddSteps);
   const std::vector<double> vths =
       util::linspace(options.vthMin, options.vthMax, options.vthSteps);
-  const std::size_t n = vdds.size() * vths.size();
-
-  // SoA staging for the batched device kernels: each exec block hands its
-  // contiguous subrange to ionBatch/ioffBatch, so the prepared constants
-  // are amortized over the block instead of paying a Mosfet construction
-  // per cell. Slot k is written only by its block; results are
-  // bit-identical at any thread count and batch split.
-  std::vector<double> vth(n);
-  std::vector<double> bias(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    bias[k] = vdds[k / vths.size()];
-    vth[k] = vths[k % vths.size()];
-  }
-  std::vector<double> ion(n);
-  std::vector<double> ioff(n);
-  std::vector<OperatingPoint> pts(n);
-  exec::parallelForBlocked(n, [&](std::size_t begin, std::size_t end) {
-    const std::size_t len = end - begin;
-    const std::span<const double> v{vth.data() + begin, len};
-    const std::span<const double> b{bias.data() + begin, len};
-    ref.kern.ionBatch(v, b, b, {ion.data() + begin, len});
-    ref.kern.ioffBatch(v, b, {ioff.data() + begin, len});
-    for (std::size_t k = begin; k < end; ++k) {
-      pts[k] = fromCurrents(ref, bias[k], vth[k], ion[k], ioff[k]);
-    }
-  });
-  return pts;
+  return exec::parallelMap<OperatingPoint>(
+      vdds.size() * vths.size(), [&](std::size_t k) {
+        return evaluate(ref, vdds[k / vths.size()], vths[k % vths.size()]);
+      });
 }
 
 OperatingPoint optimalPoint(const DesignSpaceOptions& options,
@@ -145,7 +102,8 @@ OperatingPoint optimalPoint(const DesignSpaceOptions& options,
   if (maxStaticFraction <= 0 || maxStaticFraction > 1.0) {
     throw std::invalid_argument("optimalPoint: bad static cap");
   }
-  const Reference ref = makeReference(options);
+  const SweepReference ref =
+      makeSweepReference(options.nodeNm, options.activity);
 
   // For a fixed Vdd, the fastest admissible Vth is the one meeting the
   // delay target exactly (delay is monotone increasing in Vth); total
@@ -153,7 +111,7 @@ OperatingPoint optimalPoint(const DesignSpaceOptions& options,
   // meets timing (static power falls, dynamic unchanged).
   auto bestAtVdd = [&](double vdd) -> OperatingPoint {
     auto delayErr = [&](double vth) {
-      return delayAt(ref, vdd, vth) / ref.delay0 - delayTarget;
+      return ref.delay(vdd, vth) / ref.delay0 - delayTarget;
     };
     OperatingPoint pt;
     pt.ptotalNorm = std::numeric_limits<double>::infinity();

@@ -8,9 +8,36 @@
 
 #include <vector>
 
+#include "device/mosfet.h"
 #include "tech/itrs.h"
 
 namespace nano::core {
+
+/// Nominal-corner reference of one node's (Vdd, Vth) sweeps: the design
+/// space below and Figures 3-4 (core/experiments.h). The reference gate
+/// is the Table-2 inverter with a fixed FO4 + local-wire load; each sample
+/// evaluates a withVth() copy of `device` at Vgs = Vds = Vdd.
+struct SweepReference {
+  device::Mosfet device;  ///< Table-2 Vth, specified at nominal Vdd (DIBL)
+  double vdd0 = 0.0;      ///< V, nominal supply
+  double vth0 = 0.0;      ///< V, Table-2 Vth at nominal Vdd
+  double loadCap = 0.0;   ///< F, fixed FO4 + wire + self load
+  double widthEff = 0.0;  ///< m, leakage-effective width
+  double freq = 0.0;      ///< Hz, local clock
+  double activity = 0.0;  ///< switching activity of the dynamic term
+  double delay0 = 0.0;    ///< s (arbitrary load constant folded in)
+  double pdyn0 = 0.0;     ///< W, nominal dynamic power
+  double ioff0 = 0.0;     ///< A/m, nominal off-current
+  double pstat0 = 0.0;    ///< W, nominal static power
+
+  /// C * V / Ion at (vdd, vthDesign); the k of k*C*V/I cancels in ratios.
+  [[nodiscard]] double delay(double vdd, double vthDesign) const;
+  [[nodiscard]] double pdyn(double vdd) const;
+  [[nodiscard]] double pstat(double vdd, double vthDesign) const;
+};
+
+/// The reference of node `nodeNm` (nm) at switching activity `activity`.
+SweepReference makeSweepReference(int nodeNm, double activity);
 
 /// One (Vdd, Vth) operating point of a reference gate, normalized to the
 /// node's nominal corner (nominal Vdd, Table-2 Vth).

@@ -3,10 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/design_space.h"
 #include "device/gate_model.h"
 #include "device/mosfet.h"
 #include "exec/exec.h"
-#include "kernel/device_batch.h"
 #include "obs/obs.h"
 #include "util/numeric.h"
 #include "util/units.h"
@@ -25,11 +25,7 @@ Table2Row makeTable2Row(const tech::TechNode& node, double vdd,
 
   const double vth = device::solveVthForIon(node, node.ionTarget,
                                             device::GateStack::Poly, vdd);
-  const device::Mosfet poly = [&] {
-    device::MosfetParams p = device::Mosfet::fromNode(node, vth).params();
-    p.vddReference = vdd;
-    return device::Mosfet(p);
-  }();
+  const device::Mosfet poly = device::Mosfet::fromNode(node, vth, vdd);
   row.coxeNorm = poly.coxElectrical() / coxeRef;
   row.coxPhysNorm = poly.coxPhysical() / coxPhysRef;
   row.vthRequired = vth;
@@ -37,12 +33,10 @@ Table2Row makeTable2Row(const tech::TechNode& node, double vdd,
 
   const double vthMetal = device::solveVthForIon(
       node, node.ionTarget, device::GateStack::Metal, vdd);
-  device::MosfetParams pm =
-      device::Mosfet::fromNode(node, vthMetal, device::GateStack::Metal)
-          .params();
-  pm.vddReference = vdd;
+  const device::Mosfet metal = device::Mosfet::fromNode(
+      node, vthMetal, vdd, device::GateStack::Metal);
   row.vthMetal = vthMetal;
-  row.ioffMetalNaUm = device::Mosfet(pm).ioff(vdd) / nA_per_um;
+  row.ioffMetalNaUm = metal.ioff(vdd) / nA_per_um;
 
   row.ioffItrsNaUm = node.ioffItrs / nA_per_um;
   return row;
@@ -53,7 +47,7 @@ Table2Row makeTable2Row(const tech::TechNode& node, double vdd,
 Table2 computeTable2() {
   Table2 table;
   const auto& ref = tech::nodeByFeature(180);
-  const device::Mosfet refDev = device::Mosfet::fromNode(ref, 0.3);
+  const device::Mosfet refDev = device::Mosfet::fromNode(ref, 0.3, ref.vdd);
   const double coxeRef = refDev.coxElectrical();
   const double coxPhysRef = refDev.coxPhysical();
 
@@ -109,9 +103,9 @@ std::vector<Fig2Point> computeFigure2() {
     const int f = features[i];
     const auto& node = tech::nodeByFeature(f);
     const double vthHigh = device::solveVthForIon(node, node.ionTarget);
-    const device::Mosfet high = device::Mosfet::fromNode(node, vthHigh);
-    const device::Mosfet low =
-        device::Mosfet::fromNode(node, vthHigh - 0.100);
+    const device::Mosfet high =
+        device::Mosfet::fromNode(node, vthHigh, node.vdd);
+    const device::Mosfet low = high.withVth(vthHigh - 0.100);
     const double ionHigh = high.ion();
 
     Fig2Point p;
@@ -139,32 +133,6 @@ const char* policyName(VthPolicy policy) {
 
 namespace {
 
-/// Shared context for the Figure 3/4 sweep on one node. The prepared
-/// DeviceKernel evaluates each (Vth, Vdd) probe — every policy solve calls
-/// the model dozens of times — without rebuilding a Mosfet per probe;
-/// its evaluators are bit-identical to that historical path.
-struct Fig34Context {
-  kernel::DeviceKernel kern;
-  const tech::TechNode* node = nullptr;
-  double vdd0 = 0.0;
-  double vth0 = 0.0;       ///< design Vth at nominal Vdd
-  double pstat0 = 0.0;     ///< W, reference static power
-  double ioff0 = 0.0;      ///< A/m at nominal
-  double delay0 = 0.0;     ///< s (arbitrary load constant folded in)
-  double loadCap = 0.0;    ///< F, fixed FO4 + wire load
-  double widthEff = 0.0;   ///< m, leakage-effective width
-  double freq = 0.0;
-};
-
-double delayAt(const Fig34Context& ctx, double vdd, double vthDesign) {
-  const double ion = ctx.kern.ion(vthDesign, vdd, vdd);
-  return ctx.loadCap * vdd / ion;  // k*C*V/I; the constant cancels
-}
-
-double pstatAt(const Fig34Context& ctx, double vdd, double vthDesign) {
-  return vdd * ctx.kern.ioff(vthDesign, vdd) * ctx.widthEff;
-}
-
 /// Per-point solve with recovery: a failed bracket retries once on a wider
 /// window; a terminal failure returns NaN so one bad sweep point marks
 /// itself instead of throwing out of a parallel map.
@@ -185,89 +153,69 @@ double solvePolicyVth(const std::function<double(double)>& f, double vth0) {
   return r.x;
 }
 
-double vthForPolicy(const Fig34Context& ctx, VthPolicy policy, double vdd) {
+double vthForPolicy(const SweepReference& ref, VthPolicy policy,
+                    double vdd) {
   switch (policy) {
     case VthPolicy::Constant:
-      return ctx.vth0;
+      return ref.vth0;
     case VthPolicy::ConstantPstatic:
       // Vdd * Ioff(vth, vdd) == Vdd0 * Ioff0.
       return solvePolicyVth(
-          [&](double vth) { return pstatAt(ctx, vdd, vth) - ctx.pstat0; },
-          ctx.vth0);
+          [&](double vth) { return ref.pstat(vdd, vth) - ref.pstat0; },
+          ref.vth0);
     case VthPolicy::Conservative:
       // Ioff(vth, vdd) == Ioff0: Pstatic scales linearly with Vdd.
       return solvePolicyVth(
-          [&](double vth) { return ctx.kern.ioff(vth, vdd) - ctx.ioff0; },
-          ctx.vth0);
+          [&](double vth) {
+            return ref.device.withVth(vth).ioff(vdd) - ref.ioff0;
+          },
+          ref.vth0);
   }
   throw std::logic_error("vthForPolicy: bad policy");
-}
-
-Fig34Context makeContext(int nodeNm) {
-  const tech::TechNode& node = tech::nodeByFeature(nodeNm);
-  // Vth specified at nominal Vdd; DIBL applies below it.
-  Fig34Context ctx{kernel::DeviceKernel::fromNode(node, node.vdd)};
-  ctx.node = &node;
-  ctx.vdd0 = node.vdd;
-  ctx.vth0 = device::solveVthForIon(*ctx.node, ctx.node->ionTarget);
-  const device::InverterModel inv(*ctx.node, ctx.vth0, ctx.vdd0);
-  ctx.loadCap = 4.0 * inv.inputCap() +
-                ctx.node->localWireCapPerM * ctx.node->avgLocalWireLength +
-                inv.outputCap();
-  ctx.widthEff = 0.5 * (inv.wn() + device::kPmosCurrentFactor * inv.wp());
-  ctx.freq = ctx.node->clockLocal;
-  ctx.ioff0 = ctx.kern.ioff(ctx.vth0, ctx.vdd0);
-  ctx.pstat0 = pstatAt(ctx, ctx.vdd0, ctx.vth0);
-  ctx.delay0 = delayAt(ctx, ctx.vdd0, ctx.vth0);
-  return ctx;
 }
 
 }  // namespace
 
 std::vector<Fig34Point> computeFigure34(int nodeNm, int points,
                                         double activity, double vddMin) {
-  const Fig34Context ctx = makeContext(nodeNm);
-  const std::vector<double> vdds = util::linspace(vddMin, ctx.vdd0, points);
+  const SweepReference ref = makeSweepReference(nodeNm, activity);
+  const std::vector<double> vdds = util::linspace(vddMin, ref.vdd0, points);
   // Each Vdd point runs three Newton solves; they only read the shared
-  // context, so the sweep parallelizes without any synchronization.
+  // reference, so the sweep parallelizes without any synchronization.
   return exec::parallelMap<Fig34Point>(vdds.size(), [&](std::size_t i) {
     const double vdd = vdds[i];
     Fig34Point pt;
     pt.vdd = vdd;
     for (std::size_t k = 0; k < kVthPolicies.size(); ++k) {
-      const double vth = vthForPolicy(ctx, kVthPolicies[k], vdd);
+      const double vth = vthForPolicy(ref, kVthPolicies[k], vdd);
       pt.vthDesign[k] = vth;
-      pt.delayNorm[k] = delayAt(ctx, vdd, vth) / ctx.delay0;
-      const double pdyn =
-          activity * ctx.loadCap * vdd * vdd * ctx.freq;
-      pt.pdynOverPstat[k] = pdyn / pstatAt(ctx, vdd, vth);
+      pt.delayNorm[k] = ref.delay(vdd, vth) / ref.delay0;
+      pt.pdynOverPstat[k] = ref.pdyn(vdd) / ref.pstat(vdd, vth);
     }
     return pt;
   });
 }
 
 Section33Claims computeSection33Claims(double activity) {
-  const Fig34Context ctx = makeContext(35);
+  const SweepReference ref = makeSweepReference(35, activity);
   Section33Claims c;
   const double vLow = 0.2;
-  c.delayRatioConstVthAt02 =
-      delayAt(ctx, vLow, ctx.vth0) / ctx.delay0;
-  const double vthScaled = vthForPolicy(ctx, VthPolicy::ConstantPstatic, vLow);
-  c.delayRatioScaledAt02 = delayAt(ctx, vLow, vthScaled) / ctx.delay0;
-  c.dynReductionAt02 = 1.0 - (vLow * vLow) / (ctx.vdd0 * ctx.vdd0);
+  c.delayRatioConstVthAt02 = ref.delay(vLow, ref.vth0) / ref.delay0;
+  const double vthScaled = vthForPolicy(ref, VthPolicy::ConstantPstatic, vLow);
+  c.delayRatioScaledAt02 = ref.delay(vLow, vthScaled) / ref.delay0;
+  c.dynReductionAt02 = 1.0 - (vLow * vLow) / (ref.vdd0 * ref.vdd0);
 
   // Vdd where Pdyn/Pstat hits 10 on the constant-Pstatic policy.
   auto ratioMinus10 = [&](double vdd) {
-    const double vth = vthForPolicy(ctx, VthPolicy::ConstantPstatic, vdd);
-    const double pdyn = activity * ctx.loadCap * vdd * vdd * ctx.freq;
-    return pdyn / pstatAt(ctx, vdd, vth) - 10.0;
+    const double vth = vthForPolicy(ref, VthPolicy::ConstantPstatic, vdd);
+    return ref.pdyn(vdd) / ref.pstat(vdd, vth) - 10.0;
   };
   // bracketAndSolve (maxExpand 0) keeps brent's contract on the fixed
   // interval but adds the bisection fallback if a Brent solve stalls.
   c.vddAtRatio10 =
-      util::bracketAndSolve(ratioMinus10, 0.2, ctx.vdd0, 0, 1e-6).x;
+      util::bracketAndSolve(ratioMinus10, 0.2, ref.vdd0, 0, 1e-6).x;
   c.dynReductionAtRatio10 =
-      1.0 - (c.vddAtRatio10 * c.vddAtRatio10) / (ctx.vdd0 * ctx.vdd0);
+      1.0 - (c.vddAtRatio10 * c.vddAtRatio10) / (ref.vdd0 * ref.vdd0);
   return c;
 }
 

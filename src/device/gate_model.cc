@@ -19,28 +19,13 @@ constexpr double kSelfLoadFraction = 0.6;
 constexpr double kReqFactor = 0.75;
 constexpr double kSlopeFactor = 1.5;
 constexpr double kLn2 = 0.6931471805599453;
-
-MosfetParams nodeParams(const tech::TechNode& node, double vth, double vdd,
-                        double temperature, GateStack stack) {
-  MosfetParams p;
-  p.toxPhysical = node.toxPhysical;
-  p.gateStack = stack;
-  p.leff = node.leff;
-  p.vthNominal = vth;
-  p.vddReference = vdd;
-  p.rsOhmM = node.rsSourceOhmM;
-  p.dibl = node.dibl;
-  p.swing300K = node.subthresholdSwing;
-  p.temperature = temperature;
-  return p;
-}
 }  // namespace
 
 InverterModel::InverterModel(const tech::TechNode& node, double vth,
                              double vddOperating, GateGeometry geometry,
                              double temperature, GateStack stack)
     : node_(&node),
-      nmos_(nodeParams(node, vth, vddOperating, temperature, stack)),
+      nmos_(Mosfet::fromNode(node, vth, vddOperating, stack, temperature)),
       vdd_(vddOperating) {
   if (vddOperating <= 0) throw std::invalid_argument("InverterModel: Vdd <= 0");
   const double drawnL = node.featureNm * nm;

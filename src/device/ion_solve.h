@@ -1,9 +1,6 @@
 // Bracketed Illinois (modified regula falsi) solver for the source-
-// degeneration fixed point I = Idsat0(Vgs - I*Rs). Header-only and
-// dependency-free so both device::Mosfet::ionSelfConsistent and the
-// batched kernel::DeviceKernel::ion call the *same* iteration — identical
-// evaluation sequence, hence bit-identical results between the scalar and
-// batched paths at any lane count.
+// degeneration fixed point I = Idsat0(Vgs - I*Rs), as run by
+// device::Mosfet::ionSelfConsistent. Header-only and dependency-free.
 //
 // Why Illinois instead of the previous Brent solve: the residual
 // f(i) = Idsat0(Vgs - i*Rs) - i is smooth, strictly decreasing, and
@@ -15,12 +12,12 @@
 // exact fixed point, the same interval tolerance the Brent path used, so
 // the difference against the historical solve is bounded by ~1e-11
 // relative — far inside the 1e-6 golden-figure tolerance. The change is
-// covered by the batch-vs-reference property tests and the golden suite.
+// covered by the golden suite.
 #pragma once
 
 #include <cmath>
 
-namespace nano::kernel {
+namespace nano::device {
 
 struct IonSolveResult {
   double x = 0.0;       ///< located fixed point (best iterate on failure)
@@ -91,4 +88,4 @@ IonSolveResult solveDegeneratedIon(F&& idsat0At, double iMax, double xtol) {
   return out;
 }
 
-}  // namespace nano::kernel
+}  // namespace nano::device

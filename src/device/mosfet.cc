@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "kernel/ion_solve.h"
+#include "device/ion_solve.h"
 #include "obs/obs.h"
 #include "util/numeric.h"
 #include "util/units.h"
@@ -25,16 +25,27 @@ Mosfet::Mosfet(const MosfetParams& params) : params_(params) {
   if (params_.temperature <= 0) {
     throw std::invalid_argument("Mosfet: non-positive temperature");
   }
+  tempShift_ = params_.vthTempCo * (params_.temperature - kRoomTemperature);
+  swing_ = params_.swing300K * params_.temperature / kRoomTemperature;
+  // EKV: n*vt = S/ln(10).
+  twoNvt_ = 2.0 * (swing_ / std::log(10.0));
+  toxE_ = params_.toxPhysical + (params_.gateStack == GateStack::Metal
+                                     ? kMetalElectricalExtra
+                                     : kPolyElectricalExtra);
+  coxE_ = epsSiO2 / toxE_;
+  sixTox_ = 6.0 * toxE_;
+  mu0T_ = params_.mu0 * std::pow(kRoomTemperature / params_.temperature, 1.5);
 }
 
-Mosfet Mosfet::fromNode(const tech::TechNode& node, double vth, GateStack stack,
+Mosfet Mosfet::fromNode(const tech::TechNode& node, double vth,
+                        double vddReference, GateStack stack,
                         double temperature) {
   MosfetParams p;
   p.toxPhysical = node.toxPhysical;
   p.gateStack = stack;
   p.leff = node.leff;
   p.vthNominal = vth;
-  p.vddReference = node.vdd;
+  p.vddReference = vddReference;
   p.rsOhmM = node.rsSourceOhmM;
   p.dibl = node.dibl;
   p.swing300K = node.subthresholdSwing;
@@ -42,56 +53,44 @@ Mosfet Mosfet::fromNode(const tech::TechNode& node, double vth, GateStack stack,
   return Mosfet(p);
 }
 
-double Mosfet::toxElectrical() const {
-  const double extra = params_.gateStack == GateStack::Metal
-                           ? kMetalElectricalExtra
-                           : kPolyElectricalExtra;
-  return params_.toxPhysical + extra;
+Mosfet Mosfet::withVth(double vthNominal) const {
+  Mosfet out = *this;
+  out.params_.vthNominal = vthNominal;
+  return out;
 }
-
-double Mosfet::coxElectrical() const { return epsSiO2 / toxElectrical(); }
 
 double Mosfet::coxPhysical() const { return epsSiO2 / params_.toxPhysical; }
 
 double Mosfet::vthEffective(double vds) const {
   if (vds < 0) vds = params_.vddReference;
-  const double tempShift =
-      params_.vthTempCo * (params_.temperature - kRoomTemperature);
   // Below the reference drain bias the barrier is taller (less DIBL), so
   // the effective threshold rises; above it, DIBL lowers the threshold.
-  return params_.vthNominal + tempShift +
+  return params_.vthNominal + tempShift_ +
          params_.dibl * (params_.vddReference - vds);
-}
-
-double Mosfet::subthresholdSwing() const {
-  return params_.swing300K * params_.temperature / kRoomTemperature;
 }
 
 double Mosfet::mobility(double vgs) const {
   // Universal mobility: Eeff ~= (Vgs + Vth) / (6 * Tox) for NMOS.
   const double vth = vthEffective(params_.vddReference);
-  const double eeff = std::max(vgs + vth, 0.05) / (6.0 * toxElectrical());
-  const double mu0T =
-      params_.mu0 * std::pow(kRoomTemperature / params_.temperature, 1.5);
+  const double eeff = std::max(vgs + vth, 0.05) / sixTox_;
   // nu == 2 (the universal-mobility default) gets r*r instead of pow();
-  // on this libm pow(r, 2.0) == r*r bit-exactly, and the kernel
-  // equivalence tests pin that assumption.
+  // on this libm pow(r, 2.0) == r*r bit-exactly, and the device model
+  // oracle test pins that assumption.
   const double r = eeff / params_.e0Universal;
   const double degradation =
       params_.nuUniversal == 2.0 ? r * r : std::pow(r, params_.nuUniversal);
-  return mu0T / (1.0 + degradation);
+  return mu0T_ / (1.0 + degradation);
 }
 
 double Mosfet::esat(double vgs) const { return 2.0 * params_.vsat / mobility(vgs); }
 
 double Mosfet::smoothedOverdrive(double vgs, double vth) const {
-  // EKV interpolation: vgt_eff = 2*n*vt*ln(1 + exp((vgs-vth)/(2*n*vt))),
-  // with n*vt = S/ln(10). Squaring it in Eq. (3) reproduces the correct
-  // exp(vgt/(n*vt)) subthreshold slope.
-  const double nvt = subthresholdSwing() / std::log(10.0);
-  const double x = (vgs - vth) / (2.0 * nvt);
+  // EKV interpolation: vgt_eff = 2*n*vt*ln(1 + exp((vgs-vth)/(2*n*vt))).
+  // Squaring it in Eq. (3) reproduces the correct exp(vgt/(n*vt))
+  // subthreshold slope.
+  const double x = (vgs - vth) / twoNvt_;
   if (x > 30.0) return vgs - vth;  // avoid exp overflow; smoothing negligible
-  return 2.0 * nvt * std::log1p(std::exp(x));
+  return twoNvt_ * std::log1p(std::exp(x));
 }
 
 double Mosfet::idsat0(double vgs, double vds) const {
@@ -99,9 +98,9 @@ double Mosfet::idsat0(double vgs, double vds) const {
   const double vth = vthEffective(vds);
   const double vgt = smoothedOverdrive(vgs, vth);
   const double mu = mobility(vgs);
-  const double esatL = esat(vgs) * params_.leff;
-  const double cox = coxElectrical();
-  return (mu * cox / (2.0 * params_.leff)) * vgt * vgt / (1.0 + vgt / esatL);
+  // esat(vgs) * Leff, on the mobility already in hand.
+  const double esatL = 2.0 * params_.vsat / mu * params_.leff;
+  return (mu * coxE_ / (2.0 * params_.leff)) * vgt * vgt / (1.0 + vgt / esatL);
 }
 
 double Mosfet::ionSelfConsistent(double vgs, double vds) const {
@@ -111,11 +110,9 @@ double Mosfet::ionSelfConsistent(double vgs, double vds) const {
   if (!std::isfinite(iMax)) return std::nan("");
   if (iMax <= 0) return 0.0;
   // f(0) = iMax > 0 and f(iMax) <= 0 (degeneration can only reduce
-  // current), so [0, iMax] brackets the fixed point. The shared Illinois
-  // solver (kernel/ion_solve.h) is also what kernel::DeviceKernel::ion
-  // runs, so the scalar and batched paths are bit-identical.
+  // current), so [0, iMax] brackets the fixed point.
   const double rs = params_.rsOhmM;
-  const kernel::IonSolveResult r = kernel::solveDegeneratedIon(
+  const IonSolveResult r = solveDegeneratedIon(
       [&](double i) { return idsat0(vgs - i * rs, vds); }, iMax,
       iMax * 1e-12);
   if (!r.converged) NANO_OBS_COUNT("device/ion_solve_nonconverged", 1);
@@ -127,7 +124,7 @@ double Mosfet::ion() const { return ionSelfConsistent(params_.vddReference); }
 double Mosfet::ioff(double vds) const {
   if (vds < 0) vds = params_.vddReference;
   const double vth = vthEffective(vds);
-  return params_.ioffPrefactor * std::pow(10.0, -vth / subthresholdSwing());
+  return params_.ioffPrefactor * std::pow(10.0, -vth / swing_);
 }
 
 double Mosfet::linearConductance(double vgs) const {
@@ -135,7 +132,7 @@ double Mosfet::linearConductance(double vgs) const {
   // bias, smoothed so the expression decays into subthreshold.
   const double vth = vthEffective(0.0);
   const double vgt = smoothedOverdrive(vgs, vth);
-  return mobility(vgs) * coxElectrical() * vgt / params_.leff;
+  return mobility(vgs) * coxE_ * vgt / params_.leff;
 }
 
 VthSolveResult solveVthForIonChecked(const tech::TechNode& node,
@@ -160,18 +157,9 @@ VthSolveResult solveVthForIonChecked(const tech::TechNode& node,
     return out;
   }
 
+  const Mosfet base = Mosfet::fromNode(node, 0.0, vdd, stack, temperature);
   auto ionAtVth = [&](double vth) {
-    MosfetParams p;
-    p.toxPhysical = node.toxPhysical;
-    p.gateStack = stack;
-    p.leff = node.leff;
-    p.vthNominal = vth;
-    p.vddReference = vdd;
-    p.rsOhmM = node.rsSourceOhmM;
-    p.dibl = node.dibl;
-    p.swing300K = node.subthresholdSwing;
-    p.temperature = temperature;
-    return Mosfet(p).ionSelfConsistent(vdd) - ionTarget;
+    return base.withVth(vth).ionSelfConsistent(vdd) - ionTarget;
   };
   // Ion decreases monotonically with Vth; search a generous bracket.
   util::SolveResult r = util::tryBracketAndSolve(

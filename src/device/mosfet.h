@@ -57,23 +57,31 @@ struct MosfetParams {
 };
 
 /// One NMOS device flavor; immutable after construction. All currents are
-/// per unit width (A/m).
+/// per unit width (A/m). The constructor evaluates once every term of the
+/// model that does not depend on Vth or bias, so a sweep that varies only
+/// Vth takes copies through withVth() instead of rebuilding the device.
 class Mosfet {
  public:
   explicit Mosfet(const MosfetParams& params);
 
-  /// Derive a device from a roadmap node, with an explicit Vth. Leff, Tox,
-  /// Rs, DIBL, swing and the reference Vdd come from the node.
+  /// Derive a device from a roadmap node, with an explicit Vth and the
+  /// supply `vddReference` at which that Vth is specified (the DIBL
+  /// reference). Leff, Tox, Rs, DIBL and swing come from the node.
   static Mosfet fromNode(const tech::TechNode& node, double vth,
+                         double vddReference,
                          GateStack stack = GateStack::Poly,
                          double temperature = 300.0);
+
+  /// The same device with nominal Vth `vthNominal`; equal to constructing
+  /// it from the changed params, without re-deriving the constants.
+  [[nodiscard]] Mosfet withVth(double vthNominal) const;
 
   [[nodiscard]] const MosfetParams& params() const { return params_; }
 
   /// Electrical oxide thickness (physical + inversion/GDE correction), m.
-  [[nodiscard]] double toxElectrical() const;
+  [[nodiscard]] double toxElectrical() const { return toxE_; }
   /// Electrical gate-oxide capacitance per area, F/m^2.
-  [[nodiscard]] double coxElectrical() const;
+  [[nodiscard]] double coxElectrical() const { return coxE_; }
   /// Physical gate-oxide capacitance per area, F/m^2.
   [[nodiscard]] double coxPhysical() const;
 
@@ -83,7 +91,7 @@ class Mosfet {
   [[nodiscard]] double vthEffective(double vds) const;
 
   /// Subthreshold swing at the operating temperature, V/decade.
-  [[nodiscard]] double subthresholdSwing() const;
+  [[nodiscard]] double subthresholdSwing() const { return swing_; }
 
   /// Universal-mobility effective mobility at gate bias `vgs`, m^2/Vs.
   [[nodiscard]] double mobility(double vgs) const;
@@ -102,10 +110,10 @@ class Mosfet {
   /// fraction of Vgs-Vth.
   /// `vds` sets the DIBL operating point (default: the reference Vdd); pass
   /// the actual operating supply when studying reduced-Vdd operation
-  /// (Figures 3-4). Solved with the bracketed Illinois iteration shared
-  /// with kernel::DeviceKernel (kernel/ion_solve.h); agrees with the
-  /// historical Brent solve to ~1e-11 relative (same 1e-12*Imax interval
-  /// tolerance), well inside the 1e-6 golden-figure tolerance.
+  /// (Figures 3-4). Solved with the bracketed Illinois iteration of
+  /// device/ion_solve.h; agrees with the historical Brent solve to ~1e-11
+  /// relative (same 1e-12*Imax interval tolerance), well inside the 1e-6
+  /// golden-figure tolerance.
   [[nodiscard]] double ionSelfConsistent(double vgs, double vds = -1.0) const;
 
   /// Drive current at the reference supply (self-consistent), A/m.
@@ -126,6 +134,16 @@ class Mosfet {
 
  private:
   MosfetParams params_;
+  // Terms independent of Vth and bias, each computed with the exact
+  // arithmetic of the expression it stands for and only ever substituted
+  // for that whole subexpression, so hoisting them changes no bit.
+  double tempShift_ = 0.0;  ///< vthTempCo * (T - 300)
+  double swing_ = 0.0;      ///< swing300K * T / 300
+  double twoNvt_ = 0.0;     ///< 2 * (swing / ln 10), the EKV 2*n*vt
+  double toxE_ = 0.0;       ///< physical Tox + inversion/GDE correction
+  double coxE_ = 0.0;       ///< epsSiO2 / toxE_
+  double sixTox_ = 0.0;     ///< 6 * toxE_, the universal-mobility field divisor
+  double mu0T_ = 0.0;       ///< mu0 * (300/T)^1.5
 };
 
 /// Iteration/tolerance knobs for the Vth solve; the defaults reproduce the

@@ -22,7 +22,7 @@ LeakageSpread sampleLeakageSpread(const tech::TechNode& node, double vth,
   out.sigmaVth = vthSigma(node, width, avt);
   out.samples = samples;
 
-  const Mosfet nominal = Mosfet::fromNode(node, vth);
+  const Mosfet nominal = Mosfet::fromNode(node, vth, node.vdd);
   const double ioffNominal = nominal.ioff();
   const double swing = nominal.subthresholdSwing();
 

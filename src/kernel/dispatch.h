@@ -2,25 +2,20 @@
 // specialized dispatch. Like obs and exec, any layer may include the
 // dispatch core: it only depends on util/obs.
 //
-// The design splits a hot inner loop into three pieces:
-//  * a *prepared* evaluator that hoists every batch-invariant constant out
-//    of the per-element expression (kernel/device_batch.h),
+// The design splits a hot inner loop into two pieces:
 //  * the element loop as a scalar reference plus, where the compiler
 //    cannot vectorize it (gathers, masked remainders), an explicit AVX2
 //    specialization, the two held by a KernelFamily,
 //  * a dispatch-time *pick* that runs the AVX2 variant exactly when the
 //    active ISA is AVX2 — the cpp-native analogue of GeNN's per-merged-
 //    group kernel codegen, specialized only where the code differs.
-// A kernel with a single variant (the device batches) is a plain loop and
-// is not dispatched at all.
+// A kernel with a single variant is a plain loop and is not dispatched.
 //
 // Bit-reproducibility contract: every variant of a family must produce
 // bit-identical results to the family's scalar reference (per-lane
 // operation order preserved, no FMA contraction, no reduction
-// reassociation). Where a kernel intentionally changes the algorithm (the
-// secant Ion solve), the tolerance is documented at the definition site
-// and covered by the golden-figure invariance suite. Consequently forcing
-// NANO_KERNEL_ISA=scalar must never change any result byte.
+// reassociation). Consequently forcing NANO_KERNEL_ISA=scalar must never
+// change any result byte.
 #pragma once
 
 #include <string>

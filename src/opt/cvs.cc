@@ -67,7 +67,7 @@ CvsResult runCvs(const Netlist& netlist, const circuit::Library& library,
     // behind a level converter get the conversion latency absorbed by
     // their level-converting capture stage (one lcDelay of allowance).
     inc.trial(g, lowered);
-    const ConversionReport trialConv = insertLevelConverters(work, library, true);
+    const ConversionReport trialConv = insertLevelConverters(work, library);
     const sta::TimingResult trial = sta::analyze(trialConv.netlist, clock);
     bool ok = true;
     for (int out : trialConv.netlist.outputs()) {
@@ -94,7 +94,7 @@ CvsResult runCvs(const Netlist& netlist, const circuit::Library& library,
   res.fractionLowVdd =
       static_cast<double>(lowCount) / static_cast<double>(netlist.gateCount());
 
-  ConversionReport conv = insertLevelConverters(work, library, true);
+  ConversionReport conv = insertLevelConverters(work, library);
   res.netlist = std::move(conv.netlist);
   res.convertersAdded = conv.convertersAdded;
   NANO_OBS_COUNT("opt/cvs_converters_added", conv.convertersAdded);

@@ -9,11 +9,11 @@ using circuit::Netlist;
 using circuit::VddDomain;
 
 ConversionReport insertLevelConverters(const Netlist& src,
-                                       const circuit::Library& library,
-                                       bool convertAtOutputs) {
+                                       const circuit::Library& library) {
   ConversionReport rep;
   rep.netlist = Netlist(src.wireCapPerFanout(), src.outputLoadCap());
-  rep.nodeMap.assign(static_cast<std::size_t>(src.nodeCount()), -1);
+  // Source node id -> rebuilt node id.
+  std::vector<int> nodeMap(static_cast<std::size_t>(src.nodeCount()), -1);
   // Lazily created converter per low-domain driver (new-id space).
   std::vector<int> converterOf(static_cast<std::size_t>(src.nodeCount()), -1);
 
@@ -28,7 +28,7 @@ ConversionReport insertLevelConverters(const Netlist& src,
       const circuit::Cell lc = library.pick(CellFunction::LevelConverter, 1.0,
                                             circuit::VthClass::Low,
                                             VddDomain::High);
-      const int mapped = rep.nodeMap[static_cast<std::size_t>(srcId)];
+      const int mapped = nodeMap[static_cast<std::size_t>(srcId)];
       converterOf[static_cast<std::size_t>(srcId)] =
           rep.netlist.addGate(lc, {mapped});
       ++rep.convertersAdded;
@@ -39,7 +39,7 @@ ConversionReport insertLevelConverters(const Netlist& src,
   for (int i = 0; i < src.nodeCount(); ++i) {
     const auto& n = src.node(i);
     if (n.kind == Netlist::NodeKind::PrimaryInput) {
-      rep.nodeMap[static_cast<std::size_t>(i)] = rep.netlist.addInput();
+      nodeMap[static_cast<std::size_t>(i)] = rep.netlist.addInput();
       continue;
     }
     const bool sinkIsHigh = n.cell.vddDomain == VddDomain::High;
@@ -51,18 +51,16 @@ ConversionReport insertLevelConverters(const Netlist& src,
           n.cell.function != CellFunction::LevelConverter;
       fanins.push_back(needsConversion
                            ? converterFor(f)
-                           : rep.nodeMap[static_cast<std::size_t>(f)]);
+                           : nodeMap[static_cast<std::size_t>(f)]);
     }
-    rep.nodeMap[static_cast<std::size_t>(i)] =
+    nodeMap[static_cast<std::size_t>(i)] =
         rep.netlist.addGate(n.cell, std::move(fanins));
   }
 
   for (int out : src.outputs()) {
-    int mapped = rep.nodeMap[static_cast<std::size_t>(out)];
-    if (convertAtOutputs && isLowGate(out)) {
-      mapped = converterFor(out);
-    }
-    rep.netlist.markOutput(mapped);
+    rep.netlist.markOutput(isLowGate(out)
+                               ? converterFor(out)
+                               : nodeMap[static_cast<std::size_t>(out)]);
   }
   rep.netlist.validate();
   if (!rep.netlist.vddViolations().empty()) {

@@ -13,15 +13,12 @@ namespace nano::opt {
 struct ConversionReport {
   circuit::Netlist netlist{0.0, 0.0};
   int convertersAdded = 0;
-  /// Map from source node id to rebuilt node id.
-  std::vector<int> nodeMap;
 };
 
 /// Rebuild `src` with level converters inserted. One converter is shared by
-/// all high-domain sinks of a given low-domain driver. `convertAtOutputs`
-/// adds a converter where a low-Vdd gate drives a primary output.
+/// all high-domain sinks of a low-domain gate, and a low-Vdd gate that
+/// feeds a primary output feeds it through a converter.
 ConversionReport insertLevelConverters(const circuit::Netlist& src,
-                                       const circuit::Library& library,
-                                       bool convertAtOutputs = true);
+                                       const circuit::Library& library);
 
 }  // namespace nano::opt

@@ -71,8 +71,8 @@ double stackIntermediateVoltage(const device::Mosfet& device) {
 MixedStackReport mixedVthStack(const tech::TechNode& node, double vthLow,
                                double vthHigh) {
   MixedStackReport rep;
-  const device::Mosfet low = device::Mosfet::fromNode(node, vthLow);
-  const device::Mosfet high = device::Mosfet::fromNode(node, vthHigh);
+  const device::Mosfet low = device::Mosfet::fromNode(node, vthLow, node.vdd);
+  const device::Mosfet high = device::Mosfet::fromNode(node, vthHigh, node.vdd);
   const double vdd = node.vdd;
 
   // Off-state leakage: all-low stack vs low-top/high-bottom stack.
@@ -152,14 +152,16 @@ SleepTransistorDesign sizeSleepTransistor(const tech::TechNode& node,
   // The sleep device sits in deep triode with full gate drive; its
   // per-width conductance is the compact model's linear-region slope.
   const double vthSleep = block.vthLow + block.vthSleepOffset;
-  const device::Mosfet sleepDev = device::Mosfet::fromNode(node, vthSleep);
+  const device::Mosfet sleepDev =
+      device::Mosfet::fromNode(node, vthSleep, node.vdd);
   const double gPerWidth = sleepDev.linearConductance(vdd);
   // Need drop = I_peak / (g_per_width * W) <= maxDrop.
   d.width = block.peakCurrent / (gPerWidth * maxDrop);
   d.delayPenalty = maxDelayPenalty;
 
   d.standbyLeakage = sleepDev.ioff(vdd) * d.width;
-  const device::Mosfet blockDev = device::Mosfet::fromNode(node, block.vthLow);
+  const device::Mosfet blockDev =
+      device::Mosfet::fromNode(node, block.vthLow, node.vdd);
   d.activeLeakage = blockDev.ioff(vdd) * block.totalDeviceWidth;
   d.areaOverhead = d.width / block.totalDeviceWidth;
   return d;

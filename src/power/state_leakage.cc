@@ -32,7 +32,7 @@ struct LeakContext {
     vthLow = device::solveVthForIon(n, n.ionTarget);
     for (int k = 0; k < 2; ++k) {
       const double vth = vthLow + (k ? circuit::kDualVthOffset : 0.0);
-      const device::Mosfet dev = device::Mosfet::fromNode(n, vth);
+      const device::Mosfet dev = device::Mosfet::fromNode(n, vth, n.vdd);
       ioffPerWidth[k] = dev.ioff();
       stackFactor2[k] = stackLeakageFactor(dev, 2);
       stackFactor3[k] = stackLeakageFactor(dev, 3);

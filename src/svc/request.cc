@@ -311,22 +311,45 @@ struct JsonVisitor {
   throw std::invalid_argument("parameter " + message);
 }
 
+void requireRange(const char* name, int value, int lo, int hi) {
+  if (value < lo || value > hi) {
+    rejectParam("\"" + std::string(name) + "\" must be in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+}
+
 template <class P> void validateParams(const P&) {}
+
+// Sweep sizes: the figure sweeps cost ~40 us a point, and a design grid
+// point ~20 us and ~230 bytes of response, which the cache then holds.
+void validateParams(const Fig1Params& p) {
+  requireRange("points", p.points, 2, 10000);
+}
+
+void validateParams(const Fig34Params& p) {
+  requireRange("points", p.points, 2, 10000);
+}
+
+void validateParams(const DesignGridParams& p) {
+  requireRange("vdd_steps", p.vddSteps, 2, 256);
+  requireRange("vth_steps", p.vthSteps, 2, 256);
+}
+
+void validateParams(const DesignOptimumParams& p) { validateParams(p.grid); }
 
 void validateParams(const GridSolveParams& p) {
   if (p.preconditioner != "auto" && p.preconditioner != "jacobi" &&
       p.preconditioner != "multigrid") {
     rejectParam("\"preconditioner\" must be one of auto/jacobi/multigrid");
   }
+  // The fine mesh grows with the square of subdivisions; 1024 peaks at
+  // about 80 MB.
+  requireRange("subdivisions", p.subdivisions, 2, 1024);
 }
 
 void validateParams(const StaParams& p) {
-  if (p.gates < 64 || p.gates > 2000000) {
-    rejectParam("\"gates\" must be in [64, 2000000]");
-  }
-  if (p.blocks < 1 || p.blocks > 64) {
-    rejectParam("\"blocks\" must be in [1, 64]");
-  }
+  requireRange("gates", p.gates, 64, 2000000);
+  requireRange("blocks", p.blocks, 1, 64);
 }
 
 void validateParams(const ScenarioParams& p) {
@@ -337,9 +360,7 @@ void validateParams(const ScenarioParams& p) {
       p.policy != "explore") {
     rejectParam("\"policy\" must be one of dtm/dvfs/explore (or omitted)");
   }
-  if (p.steps < 1 || p.steps > 200000) {
-    rejectParam("\"steps\" must be in [1, 200000]");
-  }
+  requireRange("steps", p.steps, 1, 200000);
   if (!(p.dtUs > 0.0) || !std::isfinite(p.dtUs)) {
     rejectParam("\"dt_us\" must be a positive finite number");
   }
@@ -348,20 +369,14 @@ void validateParams(const ScenarioParams& p) {
   if (static_cast<double>(p.steps) * p.dtUs > kMaxScenarioSimulatedUs) {
     rejectParam("\"steps\" x \"dt_us\" must be <= 1e7 (10 s simulated)");
   }
-  if (p.gates < 64 || p.gates > 200000) {
-    rejectParam("\"gates\" must be in [64, 200000]");
-  }
+  requireRange("gates", p.gates, 64, 200000);
   if (p.traceStride < 1) rejectParam("\"trace_stride\" must be >= 1");
 }
 
 void validateParams(const ScenarioSweepParams& p) {
   validateParams(p.base);
-  if (p.axisA < 1 || p.axisA > 64) {
-    rejectParam("\"axis_a\" must be in [1, 64]");
-  }
-  if (p.axisB < 1 || p.axisB > 64) {
-    rejectParam("\"axis_b\" must be in [1, 64]");
-  }
+  requireRange("axis_a", p.axisA, 1, 64);
+  requireRange("axis_b", p.axisB, 1, 64);
 }
 
 }  // namespace

@@ -15,7 +15,8 @@ using namespace nano::units;
 using tech::nodeByFeature;
 
 Mosfet deviceFor(int node, double vth) {
-  return Mosfet::fromNode(nodeByFeature(node), vth);
+  const tech::TechNode& n = nodeByFeature(node);
+  return Mosfet::fromNode(n, vth, n.vdd);
 }
 
 /// The paper's Eq. (2): the first-order source-resistance correction as
@@ -39,8 +40,8 @@ TEST(ElectricalOxide, PolyAddsSevenAngstrom) {
 
 TEST(ElectricalOxide, MetalGateAddsLess) {
   const Mosfet poly = deviceFor(35, 0.11);
-  const Mosfet metal =
-      Mosfet::fromNode(nodeByFeature(35), 0.11, GateStack::Metal);
+  const tech::TechNode& n35 = nodeByFeature(35);
+  const Mosfet metal = Mosfet::fromNode(n35, 0.11, n35.vdd, GateStack::Metal);
   EXPECT_LT(metal.toxElectrical(), poly.toxElectrical());
   EXPECT_GT(metal.coxElectrical(), poly.coxElectrical());
 }
@@ -182,7 +183,7 @@ TEST(Ion, MonotonicDecreasingInVth) {
 TEST(VthSolver, HitsIonTarget) {
   const auto& node = nodeByFeature(100);
   const double vth = solveVthForIon(node, node.ionTarget);
-  const Mosfet m = Mosfet::fromNode(node, vth);
+  const Mosfet m = Mosfet::fromNode(node, vth, node.vdd);
   EXPECT_NEAR(m.ion(), node.ionTarget, node.ionTarget * 1e-6);
 }
 
@@ -194,9 +195,9 @@ TEST(VthSolver, MetalGateAllowsHigherVth) {
   const double metal =
       solveVthForIon(node, node.ionTarget, GateStack::Metal);
   EXPECT_GT(metal, poly + 0.02);
-  const double ioffPoly = Mosfet::fromNode(node, poly).ioff();
+  const double ioffPoly = Mosfet::fromNode(node, poly, node.vdd).ioff();
   const double ioffMetal =
-      Mosfet::fromNode(node, metal, GateStack::Metal).ioff();
+      Mosfet::fromNode(node, metal, node.vdd, GateStack::Metal).ioff();
   EXPECT_LT(ioffMetal / ioffPoly, 0.55);  // >= 45 % reduction
 }
 
@@ -214,8 +215,8 @@ TEST(VthSolver, Vdd07CutsIoffNearly7x) {
   const double at06 = solveVthForIon(node, node.ionTarget);
   const double at07 =
       solveVthForIon(node, node.ionTarget, GateStack::Poly, 0.7);
-  const double ratio = Mosfet::fromNode(node, at06).ioff() /
-                       Mosfet::fromNode(node, at07).ioff();
+  const double ratio = Mosfet::fromNode(node, at06, node.vdd).ioff() /
+                       Mosfet::fromNode(node, at07, node.vdd).ioff();
   EXPECT_GT(ratio, 4.0);
   EXPECT_LT(ratio, 10.0);  // paper: "nearly 7x"
 }
@@ -330,7 +331,7 @@ TEST_P(NodeSweep, SolverConvergesWithSaneVth) {
 TEST_P(NodeSweep, IoffPositiveAndFinite) {
   const auto& node = nodeByFeature(GetParam());
   const double vth = solveVthForIon(node, node.ionTarget);
-  const double ioff = Mosfet::fromNode(node, vth).ioff();
+  const double ioff = Mosfet::fromNode(node, vth, node.vdd).ioff();
   EXPECT_GT(ioff, 0.0);
   EXPECT_TRUE(std::isfinite(ioff));
 }
@@ -341,7 +342,7 @@ TEST_P(NodeSweep, FirstOrderRsCorrectionBracketsSelfConsistent) {
   // 25 % at roadmap conditions.
   const auto& node = nodeByFeature(GetParam());
   const double vth = solveVthForIon(node, node.ionTarget);
-  const Mosfet m = Mosfet::fromNode(node, vth);
+  const Mosfet m = Mosfet::fromNode(node, vth, node.vdd);
   const double first = ionFirstOrder(m, node.vdd);
   const double self = m.ionSelfConsistent(node.vdd);
   EXPECT_LE(first, self * 1.001);

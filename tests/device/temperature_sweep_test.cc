@@ -22,7 +22,7 @@ TEST_P(TempSweep, SwingScalesLinearlyInT) {
   const auto& node = tech::nodeByFeature(feature);
   const double vth = solveVthForIon(node, node.ionTarget);
   const Mosfet dev =
-      Mosfet::fromNode(node, vth, GateStack::Poly, fromCelsius(tC));
+      Mosfet::fromNode(node, vth, node.vdd, GateStack::Poly, fromCelsius(tC));
   EXPECT_NEAR(dev.subthresholdSwing(),
               node.subthresholdSwing * fromCelsius(tC) / 300.0, 1e-9);
 }
@@ -32,9 +32,9 @@ TEST_P(TempSweep, HotterMeansLeakier) {
   if (tC <= 30.0) GTEST_SKIP() << "needs a hot corner";
   const auto& node = tech::nodeByFeature(feature);
   const double vth = solveVthForIon(node, node.ionTarget);
-  const Mosfet cold = Mosfet::fromNode(node, vth);
+  const Mosfet cold = Mosfet::fromNode(node, vth, node.vdd);
   const Mosfet hot =
-      Mosfet::fromNode(node, vth, GateStack::Poly, fromCelsius(tC));
+      Mosfet::fromNode(node, vth, node.vdd, GateStack::Poly, fromCelsius(tC));
   EXPECT_GT(hot.ioff(), cold.ioff());
 }
 
@@ -68,7 +68,7 @@ TEST(TempSweep, LeakageMonotoneAcrossWholeRange) {
   double prev = 0.0;
   for (double tC : {-40.0, 0.0, 25.0, 55.0, 85.0, 110.0, 125.0}) {
     const Mosfet dev =
-        Mosfet::fromNode(node, vth, GateStack::Poly, fromCelsius(tC));
+        Mosfet::fromNode(node, vth, node.vdd, GateStack::Poly, fromCelsius(tC));
     EXPECT_GT(dev.ioff(), prev) << tC;
     prev = dev.ioff();
   }
@@ -80,9 +80,9 @@ TEST(TempSweep, CoolingRecoversLeakageBudget) {
   const auto& node = tech::nodeByFeature(50);
   const double vth = solveVthForIon(node, node.ionTarget);
   const Mosfet hot =
-      Mosfet::fromNode(node, vth, GateStack::Poly, fromCelsius(85.0));
+      Mosfet::fromNode(node, vth, node.vdd, GateStack::Poly, fromCelsius(85.0));
   const Mosfet cool =
-      Mosfet::fromNode(node, vth, GateStack::Poly, fromCelsius(0.0));
+      Mosfet::fromNode(node, vth, node.vdd, GateStack::Poly, fromCelsius(0.0));
   EXPECT_GT(hot.ioff() / cool.ioff(), 5.0);
 }
 

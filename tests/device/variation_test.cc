@@ -40,7 +40,7 @@ TEST(MonteCarlo, MatchesClosedFormMean) {
       sampleLeakageSpread(node, vth, width, rng, 40000);
   // Closed form of a lognormal Ioff with Vth ~ N(vth, sigma^2) through
   // Eq. (4): exp(0.5 * (sigma*ln10/S)^2).
-  const Mosfet dev = Mosfet::fromNode(node, vth);
+  const Mosfet dev = Mosfet::fromNode(node, vth, node.vdd);
   const double s =
       spread.sigmaVth * std::log(10.0) / dev.subthresholdSwing();
   const double expected = std::exp(0.5 * s * s);

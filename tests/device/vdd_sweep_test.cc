@@ -14,7 +14,7 @@ namespace {
 Mosfet referenceDevice(int feature) {
   const auto& node = tech::nodeByFeature(feature);
   return Mosfet::fromNode(node,
-                          solveVthForIon(node, node.ionTarget));
+                          solveVthForIon(node, node.ionTarget), node.vdd);
 }
 
 class VddSweep : public ::testing::TestWithParam<int> {};
@@ -90,8 +90,8 @@ TEST(VddSweepExtra, LoweringVthRestoresLowVddDrive) {
   for (int f : {70, 50, 35}) {
     const auto& node = tech::nodeByFeature(f);
     const double vth = solveVthForIon(node, node.ionTarget);
-    const Mosfet nominal = Mosfet::fromNode(node, vth);
-    const Mosfet lowered = Mosfet::fromNode(node, vth - 0.1);
+    const Mosfet nominal = Mosfet::fromNode(node, vth, node.vdd);
+    const Mosfet lowered = Mosfet::fromNode(node, vth - 0.1, node.vdd);
     const double v = 0.5 * node.vdd;
     EXPECT_GT(lowered.ionSelfConsistent(v, v),
               1.3 * nominal.ionSelfConsistent(v, v))

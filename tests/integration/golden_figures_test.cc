@@ -18,8 +18,8 @@
 
 #include "core/experiments.h"
 #include "interconnect/global_wiring.h"
+#include "support/csv_reader.h"
 #include "tech/itrs.h"
-#include "util/csv.h"
 
 #ifndef NANO_GOLDEN_DIR
 #error "NANO_GOLDEN_DIR must point at the repo root holding the golden CSVs"

@@ -67,8 +67,7 @@ TEST(LevelConverter, OutputBoundaryConversion) {
       f.lib.pick(CellFunction::Inv, 1.0, circuit::VthClass::Low, VddDomain::Low);
   const int g1 = nl.addGate(low, {a});
   nl.markOutput(g1);
-  EXPECT_EQ(insertLevelConverters(nl, f.lib, true).convertersAdded, 1);
-  EXPECT_EQ(insertLevelConverters(nl, f.lib, false).convertersAdded, 0);
+  EXPECT_EQ(insertLevelConverters(nl, f.lib).convertersAdded, 1);
 }
 
 TEST(LevelConverter, NoOpOnSingleVddDesign) {

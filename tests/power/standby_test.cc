@@ -10,7 +10,7 @@ namespace {
 device::Mosfet solvedDevice(int feature) {
   const auto& node = tech::nodeByFeature(feature);
   return device::Mosfet::fromNode(
-      node, device::solveVthForIon(node, node.ionTarget));
+      node, device::solveVthForIon(node, node.ionTarget), node.vdd);
 }
 
 TEST(SubthresholdCurrent, MatchesIoffAtZeroGate) {
@@ -135,7 +135,7 @@ TEST(Mtcmos, NoActiveLeakageReduction) {
   const auto& node = tech::nodeByFeature(50);
   const double vth = device::solveVthForIon(node, node.ionTarget);
   const auto d = sizeSleepTransistor(node, referenceBlock(node, vth));
-  const auto dev = device::Mosfet::fromNode(node, vth);
+  const auto dev = device::Mosfet::fromNode(node, vth, node.vdd);
   EXPECT_NEAR(d.activeLeakage, dev.ioff() * 1e-3, 1e-9);
 }
 

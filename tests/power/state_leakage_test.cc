@@ -51,7 +51,7 @@ TEST(CellStateLeakage, NandStackFactorMatchesStandbyModel) {
   const double s00 = cellStateLeakage(nand, node70(), 0b00u);
   const double s01 = cellStateLeakage(nand, node70(), 0b01u);
   const double vth = device::solveVthForIon(node70(), node70().ionTarget);
-  const auto dev = device::Mosfet::fromNode(node70(), vth);
+  const auto dev = device::Mosfet::fromNode(node70(), vth, node70().vdd);
   EXPECT_NEAR(s00 / s01, stackLeakageFactor(dev, 2), 1e-9);
 }
 

@@ -59,6 +59,11 @@ class BenchDiffTest(unittest.TestCase):
         slower = self.write([entry("BM_A", 0.00112, "ms", "median")])
         self.assertEqual(bench_diff(old, slower), (1, {"BM_A"}))
 
+    def test_real_time_rows_pair_with_their_earlier_names(self):
+        old = self.write([entry("BM_C/15", 1000.0)])
+        new = self.write([entry("BM_C/15/real_time", 1200.0)])
+        self.assertEqual(bench_diff(old, new), (1, {"BM_C/15"}))
+
     def test_median_of_repetitions_without_aggregates(self):
         old = self.write([entry("BM_B", t) for t in (10.0, 10.0, 90.0)])
         new = self.write([entry("BM_B", t) for t in (10.5, 50.0, 10.5)])

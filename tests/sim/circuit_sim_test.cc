@@ -90,7 +90,7 @@ TEST(Simulator, InverterDcTransfersLogicLevels) {
   const auto& node = tech::nodeByFeature(100);
   const double vth = device::solveVthForIon(node, node.ionTarget);
   auto model = std::make_shared<device::Mosfet>(
-      device::Mosfet::fromNode(node, vth));
+      device::Mosfet::fromNode(node, vth, node.vdd));
   Circuit ckt;
   const int vdd = ckt.node();
   const int in = ckt.node();
@@ -133,7 +133,7 @@ TEST(Circuit, AddMosfetWithoutModelThrows) {
 Circuit midRailInverter(const tech::TechNode& node) {
   const double vth = device::solveVthForIon(node, node.ionTarget);
   auto model = std::make_shared<device::Mosfet>(
-      device::Mosfet::fromNode(node, vth));
+      device::Mosfet::fromNode(node, vth, node.vdd));
   Circuit ckt;
   const int vdd = ckt.node();
   const int in = ckt.node();

@@ -18,7 +18,8 @@ struct InverterChainFixture {
   const tech::TechNode& node = tech::nodeByFeature(100);
   double vth = device::solveVthForIon(node, node.ionTarget);
   std::shared_ptr<device::Mosfet> model =
-      std::make_shared<device::Mosfet>(device::Mosfet::fromNode(node, vth));
+      std::make_shared<device::Mosfet>(
+          device::Mosfet::fromNode(node, vth, node.vdd));
   device::InverterModel inv{node, vth, node.vdd};
 };
 

@@ -148,6 +148,37 @@ TEST(RequestParse, ScenarioValidationRejectsBadValues) {
       std::string::npos);
 }
 
+TEST(RequestParse, SweepSizesAreBounded) {
+  // Each sweep-size param is accepted at its maximum and rejected one past
+  // it (and below 2) with the parameter named in the error.
+  struct Bound {
+    const char* kind;
+    const char* param;
+    int max;
+  };
+  for (const Bound& b : {Bound{"figure1", "points", 10000},
+                         Bound{"figure34", "points", 10000},
+                         Bound{"design_grid", "vdd_steps", 256},
+                         Bound{"design_grid", "vth_steps", 256},
+                         Bound{"design_optimum", "vdd_steps", 256},
+                         Bound{"design_optimum", "vth_steps", 256},
+                         Bound{"grid_solve", "subdivisions", 1024}}) {
+    auto line = [&](int value) {
+      return std::string(R"({"kind":")") + b.kind + R"(","params":{")" +
+             b.param + "\":" + std::to_string(value) + "}}";
+    };
+    mustParse(line(b.max));
+    mustParse(line(2));
+    for (const int bad : {b.max + 1, 1}) {
+      EXPECT_NE(mustFail(line(bad)).find(std::string("\"") + b.param +
+                                         "\" must be in [2, " +
+                                         std::to_string(b.max) + "]"),
+                std::string::npos)
+          << line(bad);
+    }
+  }
+}
+
 TEST(RequestParse, RejectsBadInput) {
   EXPECT_NE(mustFail("not json").find("parseJson"), std::string::npos);
   EXPECT_NE(mustFail("[1]").find("object"), std::string::npos);

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/csv_reader.h"
+
 namespace nano::util {
 namespace {
 
