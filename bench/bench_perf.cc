@@ -20,6 +20,8 @@
 #include "sim/circuit_sim.h"
 #include "sta/incremental.h"
 #include "sta/sta.h"
+#include "svc/eval.h"
+#include "svc/json.h"
 #include "svc/server.h"
 
 namespace {
@@ -435,6 +437,62 @@ void BM_SvcThroughput(benchmark::State& state) {
   state.counters["hit_rate"] = (hits + joins) / (hits + joins + misses);
 }
 BENCHMARK(BM_SvcThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+int countNumbers(const svc::JsonValue& v) {
+  if (v.isNumber()) return 1;
+  int n = 0;
+  if (v.isArray()) {
+    for (const svc::JsonValue& item : v.items()) n += countNumbers(item);
+  } else if (v.isObject()) {
+    for (const auto& member : v.members()) n += countNumbers(member.second);
+  }
+  return n;
+}
+
+// The JSON serialize layer alone: write() of a real response payload (the
+// default 15x15 design_grid, or a 15-point figure34), evaluated and parsed
+// back once outside the timed loop. Items = numbers printed per second;
+// numbers are nearly all of each payload's bytes.
+void BM_JsonWrite(benchmark::State& state, const char* line) {
+  svc::Request request;
+  std::string error;
+  if (!svc::parseRequest(line, request, error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const std::string data = svc::evaluate(request).data;
+  const svc::JsonValue payload = svc::parseJson(data);
+  if (payload.write() != data) {
+    state.SkipWithError("payload does not round-trip");
+    return;
+  }
+  for (auto _ : state) {
+    const std::string out = payload.write();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * countNumbers(payload));
+  state.counters["bytes"] = static_cast<double>(data.size());
+}
+BENCHMARK_CAPTURE(BM_JsonWrite, design_grid, R"({"kind":"design_grid"})");
+BENCHMARK_CAPTURE(BM_JsonWrite, figure34,
+                  R"({"kind":"figure34","params":{"points":15}})");
+
+// The canonical-key layer alone: canonicalKey() of a parsed design_point,
+// whose three doubles are most of the key. Items = keys/s.
+void BM_SvcKey(benchmark::State& state) {
+  svc::Request request;
+  std::string error;
+  if (!svc::parseRequest(
+          R"({"kind":"design_point","params":{"vdd":0.55,"vth":0.215}})",
+          request, error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(request.canonicalKey());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SvcKey);
 
 // Closed-loop scenario engine: one DTM run of Arg(0) steps over the
 // cached canonical plant. Items = integration steps/s; the plant build

@@ -53,6 +53,7 @@ ScenarioResult runScenario(const Plant& plant, Policy& policy,
                                     : node.tjMax;
   const double clock = plant.clockPeriod();
   const thermal::ThermalPackage& package = plant.package();
+  const double decay = package.decay(config.dt);
 
   policy.reset();
 
@@ -122,7 +123,7 @@ ScenarioResult runScenario(const Plant& plant, Policy& policy,
     irDrop = plant.irDropFraction(power, vdd) + rush;
 
     // Physics step and the timing consequence.
-    temperature = package.step(temperature, power, tAmbient, config.dt);
+    temperature = package.stepWithDecay(temperature, power, tAmbient, decay);
     slack = clock / freq - clock * plant.delayScale(vdd, temperature);
 
     // The three per-step assertions.
@@ -162,7 +163,7 @@ ScenarioResult runScenario(const Plant& plant, Policy& policy,
         plant.leakagePowerNominal() *
             plant.leakageScale(1.0, baselineTemperature);
     baselineTemperature =
-        package.step(baselineTemperature, basePower, tAmbient, config.dt);
+        package.stepWithDecay(baselineTemperature, basePower, tAmbient, decay);
     result.baselineEnergyJ += basePower * config.dt;
 
     if (step % config.traceStride == 0) {

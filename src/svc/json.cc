@@ -1,32 +1,100 @@
 #include "svc/json.h"
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace nano::svc {
 
-std::string formatJsonDouble(double v) {
-  if (!std::isfinite(v)) {
-    // JSON has no Inf/NaN literals; responses encode them as null upstream,
-    // but a stray non-finite double must not emit invalid JSON.
-    return "null";
-  }
-  // Integral values within the exactly-representable range print without an
-  // exponent or decimal point ("9" rather than "9.0"), matching what a
-  // client would send back for the same number.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
+namespace {
+
+/// The %g search that appendJsonDouble reproduces, kept for the values
+/// whose shortest digits it does not print.
+void appendBySearch(std::string& out, double v) {
   char buf[40];
   for (int precision : {15, 16, 17}) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
     if (std::strtod(buf, nullptr) == v) break;
   }
-  return buf;
+  out += buf;
+}
+
+bool isPowerOfTwo(double v) {
+  constexpr std::uint64_t kSignificand = (std::uint64_t{1} << 52) - 1;
+  return (std::bit_cast<std::uint64_t>(v) & kSignificand) == 0;
+}
+
+}  // namespace
+
+void appendJsonDouble(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    // JSON has no Inf/NaN literals; responses encode them as null upstream,
+    // but a stray non-finite double must not emit invalid JSON.
+    out += "null";
+    return;
+  }
+  char buf[32];
+  // Integral values within the exactly-representable range print without an
+  // exponent or decimal point ("9" rather than "9.0"), matching what a
+  // client would send back for the same number.
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                  static_cast<long long>(v)).ptr);
+    return;
+  }
+  // Shortest round-trip digits d1..dn and decimal exponent X, written as
+  // "[-]d1[.d2..dn]e(+|-)XX".
+  const char* const end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific)
+          .ptr;
+  const char* const first = buf + (buf[0] == '-');
+  const char* const e = std::find(first, end, 'e');
+  char digits[sizeof(buf)];
+  int n = 0;
+  for (const char* p = first; p != e; ++p) {
+    if (*p != '.') digits[n++] = *p;
+  }
+  int x = 0;
+  for (const char* p = e + 2; p != end; ++p) x = 10 * x + (*p - '0');
+  if (e[1] == '-') x = -x;
+
+  // Half an ulp of a normal double is under half the step between
+  // 15-digit decimals, so %.15g prints the shortest digits whenever there
+  // are at most 15 of them, and the search stops there. With 16 or 17, the
+  // closest shortest form is what %.16g or %.17g prints, because the
+  // rounding interval is symmetric. Two kinds of value break a premise:
+  // subnormals, whose ulp is wider, and powers of two, whose interval
+  // reaches half as far below as above, so the nearest 16-digit decimal
+  // can fall outside it while another one falls inside, and the search
+  // goes on to 17 digits. Both keep the search.
+  if (std::fabs(v) < std::numeric_limits<double>::min() ||
+      (n == 16 && isPowerOfTwo(v))) {
+    appendBySearch(out, v);
+    return;
+  }
+
+  // %g at precision P = max(15, n), trailing zeros dropped.
+  if (first != buf) out.push_back('-');
+  const int precision = std::max(15, n);
+  if (x < -4 || x >= precision) {
+    out.append(first, end);
+  } else if (x < 0) {
+    out += "0.";
+    out.append(static_cast<std::size_t>(-x - 1), '0');
+    out.append(digits, static_cast<std::size_t>(n));
+  } else if (n <= x + 1) {
+    out.append(digits, static_cast<std::size_t>(n));
+    out.append(static_cast<std::size_t>(x + 1 - n), '0');
+  } else {
+    out.append(digits, static_cast<std::size_t>(x + 1));
+    out.push_back('.');
+    out.append(digits + x + 1, static_cast<std::size_t>(n - x - 1));
+  }
 }
 
 JsonValue JsonValue::boolean(bool b) {
@@ -156,7 +224,7 @@ void writeValue(const JsonValue& v, std::string& out) {
       out += v.asBool() ? "true" : "false";
       break;
     case JsonValue::Kind::Number:
-      out += formatJsonDouble(v.asNumber());
+      appendJsonDouble(out, v.asNumber());
       break;
     case JsonValue::Kind::String:
       out += quoteJsonString(v.asString());

@@ -15,11 +15,14 @@
 
 namespace nano::svc {
 
-/// Shortest round-trip decimal form of a double: the first of %.15g /
-/// %.16g / %.17g that parses back to the same bits. Deterministic for a
-/// given value (locale-independent digits), so cached and recomputed
-/// responses are byte-identical.
-std::string formatJsonDouble(double v);
+/// Appends the round-trip decimal form of a double: the first of %.15g /
+/// %.16g / %.17g (C locale) that parses back to the same bits. Apart from
+/// subnormals and some powers of two, the digits come from std::to_chars's
+/// shortest form, which does not depend on the locale. Integral values
+/// below 2^53 print as integers, and non-finite values as null.
+/// Deterministic for a given value, so cached and recomputed responses are
+/// byte-identical.
+void appendJsonDouble(std::string& out, double v);
 
 /// One JSON value. Objects keep members in insertion order; duplicate keys
 /// are rejected by the parser and overwritten by set().

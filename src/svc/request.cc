@@ -74,10 +74,10 @@ class KeyBuilder {
     out_.push_back('(');
   }
 
-  void field(const char* name, double v) { raw(name, formatJsonDouble(v)); }
-  void field(const char* name, int v) { raw(name, std::to_string(v)); }
-  void field(const char* name, bool v) { raw(name, v ? "true" : "false"); }
-  void field(const char* name, const std::string& v) { raw(name, v); }
+  void field(const char* name, double v) { appendJsonDouble(begin(name), v); }
+  void field(const char* name, int v) { begin(name) += std::to_string(v); }
+  void field(const char* name, bool v) { begin(name) += v ? "true" : "false"; }
+  void field(const char* name, const std::string& v) { begin(name) += v; }
 
   std::string finish() {
     out_.push_back(')');
@@ -85,12 +85,13 @@ class KeyBuilder {
   }
 
  private:
-  void raw(const char* name, const std::string& value) {
+  /// Appends the separator and "name="; the caller appends the value.
+  std::string& begin(const char* name) {
     if (!first_) out_.push_back(',');
     first_ = false;
     out_ += name;
     out_.push_back('=');
-    out_ += value;
+    return out_;
   }
 
   std::string out_;
@@ -225,6 +226,9 @@ class ParamReader {
     const JsonValue* v = take(name);
     if (v == nullptr) return;
     if (!v->isNumber()) fail(name, "a number");
+    // A literal beyond the double range (1e999) parses to +-inf, and the
+    // canonical key renders either sign as null.
+    if (!std::isfinite(v->asNumber())) fail(name, "a finite number");
     out = v->asNumber();
   }
 

@@ -55,6 +55,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
   double throttledTime = 0.0;
   long steps = 0;
   PowerTrace::Cursor demand(trace);
+  const double decay = package.decay(dt);
 
   for (double t = 0.0; t < duration; t += dt, ++steps) {
     const bool throttled = sensor.update(t, temperature);
@@ -62,7 +63,7 @@ DtmResult simulateDtm(const ThermalPackage& package, const PowerTrace& trace,
     const double powerFactor = throttled ? throttledPowerFactor : 1.0;
     const double power = demandFraction * worstCasePower * powerFactor;
 
-    temperature = package.step(temperature, power, tAmbient, dt);
+    temperature = package.stepWithDecay(temperature, power, tAmbient, decay);
 
     tempSum += temperature;
     cycleSum += throttled ? policy.throttleFactor : 1.0;

@@ -18,11 +18,19 @@ double ThermalPackage::junctionTemperature(double power, double tAmbient) const 
 
 double ThermalPackage::step(double tJunction, double power, double tAmbient,
                             double dt) const {
+  return stepWithDecay(tJunction, power, tAmbient, decay(dt));
+}
+
+double ThermalPackage::decay(double dt) const {
+  return std::exp(-dt / timeConstant());
+}
+
+double ThermalPackage::stepWithDecay(double tJunction, double power,
+                                     double tAmbient, double decay) const {
   // Exact solution of the linear first-order ODE over dt (unconditionally
   // stable for any step size).
   const double tFinal = junctionTemperature(power, tAmbient);
-  const double alpha = std::exp(-dt / timeConstant());
-  return tFinal + (tJunction - tFinal) * alpha;
+  return tFinal + (tJunction - tFinal) * decay;
 }
 
 double requiredThetaJa(double power, double tjMax, double tAmbient) {

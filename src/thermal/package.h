@@ -30,6 +30,15 @@ class ThermalPackage {
   [[nodiscard]] double step(double tJunction, double power, double tAmbient,
                             double dt) const;
 
+  /// exp(-dt / tau): the factor by which a step of `dt` shrinks the
+  /// distance to the steady-state temperature.
+  [[nodiscard]] double decay(double dt) const;
+
+  /// step() with its decay(dt) computed once by a fixed-step caller; the
+  /// same operations, so the same bits.
+  [[nodiscard]] double stepWithDecay(double tJunction, double power,
+                                     double tAmbient, double decay) const;
+
  private:
   double thetaJa_;
   double heatCapacity_;

@@ -210,6 +210,28 @@ TEST(RequestParse, RejectsBadInput) {
       std::string::npos);
 }
 
+TEST(RequestParse, NonFiniteNumbersAreRejectedForEveryNumericParam) {
+  // 1e999 and -1e999 parse to +inf and -inf, which the canonical key would
+  // render alike (as null).
+  for (int i = 0; i < kRequestKindCount; ++i) {
+    const auto kind = static_cast<RequestKind>(i);
+    const JsonValue params = paramsJson(defaultParams(kind));
+    for (const auto& [name, value] : params.members()) {
+      if (!value.isNumber()) continue;
+      for (const char* literal : {"1e999", "-1e999"}) {
+        const std::string error =
+            mustFail(std::string(R"({"kind":")") + kindName(kind) +
+                     R"(","params":{")" + name + "\":" + literal + "}}");
+        EXPECT_NE(error.find("\"" + name + "\" must be a"), std::string::npos)
+            << kindName(kind) << ": " << error;
+      }
+    }
+  }
+  EXPECT_NE(mustFail(R"({"kind":"design_point","params":{"vdd":-1e999}})")
+                .find("finite"),
+            std::string::npos);
+}
+
 TEST(RequestParse, IdSurvivesParseFailure) {
   Request r;
   std::string error;

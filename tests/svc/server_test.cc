@@ -129,6 +129,33 @@ TEST(RunServer, OverlongScenarioIsRejectedAsInvalid) {
   EXPECT_NE(lines[0].find("dt_us"), std::string::npos);
 }
 
+TEST(RunServer, InfiniteParamsAreInvalidWhicheverComesFirst) {
+  // +inf and -inf once shared the canonical key "vdd=null", so the first
+  // of the two decided both replies.
+  const std::string pos =
+      R"({"id":"pos","kind":"design_point","params":{"vdd":1e999}})";
+  const std::string neg =
+      R"({"id":"neg","kind":"design_point","params":{"vdd":-1e999}})";
+  auto replay = [](const std::string& first, const std::string& second) {
+    std::istringstream in(first + "\n" + second + "\n");
+    std::ostringstream out;
+    Service service(replayOptions());
+    const ServerStats stats = runServer(in, out, service);
+    EXPECT_EQ(stats.invalid, 2u);
+    return splitLines(out.str());
+  };
+  const std::vector<std::string> posFirst = replay(pos, neg);
+  const std::vector<std::string> negFirst = replay(neg, pos);
+  ASSERT_EQ(posFirst.size(), 2u);
+  ASSERT_EQ(negFirst.size(), 2u);
+  EXPECT_EQ(posFirst[0], negFirst[1]);
+  EXPECT_EQ(posFirst[1], negFirst[0]);
+  for (const std::string& line : posFirst) {
+    EXPECT_NE(line.find(R"("status":"invalid")"), std::string::npos) << line;
+    EXPECT_NE(line.find("finite"), std::string::npos) << line;
+  }
+}
+
 TEST(RunServer, DeterministicErrorsAreStructuredNotFatal) {
   // 90 nm is not a roadmap node: evaluation throws, the service answers
   // with status:"error", and later requests still succeed.
