@@ -17,6 +17,10 @@ std::int64_t monotonicNowNs() {
       .count();
 }
 
+/// Set on a receive thread: its own loop flushes whatever it enqueues, so
+/// it needs no wake-up.
+thread_local bool tOnReceiveThread = false;
+
 /// Queue one framed line the way the stdin server's std::getline loop
 /// does: CRLF input loses its CR, and empty lines are skipped.
 void pushLine(std::deque<std::string>& lines, std::string line) {
@@ -30,7 +34,11 @@ NetServer::NetServer(svc::Service& service, NetServerOptions options,
                      std::unique_ptr<SocketOps> ops)
     : service_(service),
       options_(std::move(options)),
-      ops_(ops ? std::move(ops) : makePosixSocketOps()) {}
+      ops_(ops ? std::move(ops) : makePosixSocketOps()) {
+  // The read gate admits a line while fewer than this many responses are
+  // pending: a limit of 0 would never admit one.
+  if (options_.session.emitQueueLimit == 0) options_.session.emitQueueLimit = 1;
+}
 
 NetServer::~NetServer() { stop(); }
 
@@ -84,6 +92,7 @@ void NetServer::stop() {
 // ------------------------------------------------------------- the loop
 
 void NetServer::receiveLoop() {
+  tOnReceiveThread = true;
   std::vector<PollItem> items;
   while (true) {
     if (stopRequested_.load(std::memory_order_acquire) && !draining_) {
@@ -130,7 +139,7 @@ void NetServer::receiveLoop() {
         readInto(conn);
       }
       // Writable progress is made by the flushWrites() sweep at the top
-      // of the loop, which also runs for wake()-driven emitter pushes.
+      // of the loop, which also runs for wake()-driven exec-lane pushes.
     }
   }
 }
@@ -186,7 +195,8 @@ void NetServer::shedConnection(int fd) {
                        ? "server draining"
                        : "max clients (" + std::to_string(options_.maxClients) +
                              " connections)";
-  const std::string line = response.toJsonLine() + '\n';
+  std::string line = response.toJsonLine();
+  line.push_back('\n');
   // Best effort: the connection is being dropped either way, and a fresh
   // socket's send buffer always fits one line.
   ops_->write(fd, line.data(), line.size());
@@ -270,7 +280,10 @@ void NetServer::enqueueOutput(Connection& c, std::string&& line) {
     c.outQueue.push_back(std::move(line));
   }
   adjustOutstanding(static_cast<std::ptrdiff_t>(bytes));
-  ops_->wake();
+  // Cache hits are answered inside pumpLines(), and the flushWrites()
+  // sweep right after it writes them; only exec lanes need to wake the
+  // loop.
+  if (!tOnReceiveThread) ops_->wake();
 }
 
 void NetServer::adjustOutstanding(std::ptrdiff_t delta) {
@@ -342,8 +355,9 @@ void NetServer::doomConnection(Connection& c) {
     c.session->closeInput();
     c.inputClosed = true;
   }
-  // Output already queued (and whatever the emitter still pushes while it
-  // drains) is discarded at reap; it is bounded by the emit-queue limit.
+  // Output already queued (and whatever exec lanes still push while the
+  // session drains) is discarded at reap; it is bounded by the emit-queue
+  // limit.
 }
 
 void NetServer::closeIdle() {

@@ -3,7 +3,9 @@
 // frames each into newline-delimited requests, and feeds every connection
 // through its own svc::Session — the exact pipeline the stdin server
 // runs, so a trace replayed over a socket is byte-identical to the same
-// trace piped through stdin, at any NANO_EXEC_THREADS.
+// trace piped through stdin, at any NANO_EXEC_THREADS. No thread belongs
+// to a connection: the receive thread answers cache hits itself, and an
+// exec lane queues each evaluated response and wakes the loop to write it.
 //
 // Memory is bounded per connection at every stage:
 //   - unframed input:   reads stop past maxLineBytes (oversize close)
@@ -120,10 +122,11 @@ class NetServer {
   [[nodiscard]] const NetServerStats& stats() const { return stats_; }
 
  private:
-  /// Receive-thread state for one client. The emitter thread only touches
-  /// outQueue/outBytes (under outMutex); everything else is the receive
-  /// thread's alone. The Session is destroyed before the Connection, so
-  /// the sink's raw back-pointer never dangles.
+  /// Receive-thread state for one client. Exec lanes, through the
+  /// session's sink, only touch outQueue/outBytes (under outMutex);
+  /// everything else is the receive thread's alone. The Session is
+  /// destroyed before the Connection, so the sink's raw back-pointer never
+  /// dangles.
   struct Connection {
     int fd = -1;
     std::unique_ptr<svc::Session> session;
@@ -136,7 +139,7 @@ class NetServer {
     std::int64_t lastActivityNs = 0;
 
     std::mutex outMutex;
-    std::deque<std::string> outQueue;  ///< emitter pushes, receiver drains
+    std::deque<std::string> outQueue;  ///< sink pushes, receiver drains
     std::size_t outBytes = 0;          ///< queued + unwritten head bytes
     std::string writeHead;             ///< receive thread only
     std::size_t writeOff = 0;

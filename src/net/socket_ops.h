@@ -8,7 +8,8 @@
 // All descriptors are non-blocking by construction: read/write report
 // would-block instead of stalling, and poll() is the only place the
 // receive thread sleeps. wake() interrupts a sleeping poll() from any
-// thread (emitters, signal handlers via the POSIX self-pipe).
+// thread (exec lanes handing over responses, signal handlers via the
+// POSIX self-pipe).
 #pragma once
 
 #include <cstddef>

@@ -67,7 +67,7 @@ void traceComplete(const char* cat, const char* name, const TraceContext& ctx,
 /// Append an async 'b'/'e' pair with explicit timestamps. Async events
 /// pair by (cat, id, name), so they may begin and end on any thread —
 /// this is how cross-thread request phases (queue_wait, work, emit) are
-/// recorded by the emitter after the fact.
+/// recorded when a response is emitted, after the fact.
 void traceAsyncSpan(const char* cat, const char* name, const TraceContext& ctx,
                     std::int64_t beginNs, std::int64_t endNs);
 

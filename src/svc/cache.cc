@@ -26,6 +26,24 @@ ResultCache::ResultCache(std::size_t capacity, int shards)
   }
 }
 
+std::shared_ptr<const Outcome> ResultCache::hitLocked(
+    Shard& shard, const std::string& key, const obs::TraceContext& trace) {
+  const auto hit = shard.index.find(key);
+  if (hit == shard.index.end()) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
+  NANO_OBS_COUNT("svc/cache_hits", 1);
+  obs::traceInstant("svc", "cache.hit", trace);
+  return hit->second->outcome;
+}
+
+std::shared_ptr<const Outcome> ResultCache::find(
+    const std::string& key, const obs::TraceContext& trace) {
+  if (capacity_ == 0) return nullptr;
+  Shard& shard = shardFor(fnv1a64(key));
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  return hitLocked(shard, key, trace);
+}
+
 Outcome ResultCache::getOrCompute(const std::string& key,
                                   const std::function<Outcome()>& compute,
                                   const obs::TraceContext& trace,
@@ -36,12 +54,7 @@ Outcome ResultCache::getOrCompute(const std::string& key,
   std::promise<std::shared_ptr<const Outcome>> promise;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
-    if (auto hit = shard.index.find(key); hit != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, hit->second);
-      NANO_OBS_COUNT("svc/cache_hits", 1);
-      obs::traceInstant("svc", "cache.hit", trace);
-      return *hit->second->outcome;
-    }
+    if (const auto hit = hitLocked(shard, key, trace)) return *hit;
     if (auto flight = shard.inflight.find(key);
         flight != shard.inflight.end()) {
       // Someone else is computing this key: wait outside the shard lock.

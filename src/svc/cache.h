@@ -4,6 +4,8 @@
 // collisions). When several callers ask for the same key concurrently,
 // exactly one computes and the rest block on its shared future — the
 // "thundering herd" of identical sweep queries costs one evaluation.
+// find() is the non-computing, non-blocking probe the service answers
+// cache hits with on the thread that parsed them.
 //
 // Instrumented: svc/cache_hits, svc/cache_misses, svc/cache_evictions,
 // svc/dedup_joins counters and the svc/cache_size gauge.
@@ -52,6 +54,12 @@ class ResultCache {
                        const obs::TraceContext& trace = {},
                        std::int64_t* dedupJoinNs = nullptr);
 
+  /// The cached outcome for `key`, or null when it is absent or still being
+  /// computed. Never computes and never waits; a hit counts, traces and
+  /// refreshes the entry exactly like getOrCompute()'s hit.
+  std::shared_ptr<const Outcome> find(const std::string& key,
+                                      const obs::TraceContext& trace = {});
+
   /// Entries currently cached (sums the shards; racy but monotonic
   /// per-shard — for tests and gauges).
   [[nodiscard]] std::size_t size() const;
@@ -81,6 +89,10 @@ class ResultCache {
   Shard& shardFor(std::uint64_t hash) {
     return *shards_[hash & (shards_.size() - 1)];
   }
+  /// The hit branch shared by find() and getOrCompute(); caller holds the
+  /// shard lock.
+  static std::shared_ptr<const Outcome> hitLocked(
+      Shard& shard, const std::string& key, const obs::TraceContext& trace);
 
   std::size_t capacity_;
   std::size_t perShardCapacity_;

@@ -186,11 +186,15 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-std::string quoteJsonString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void appendJsonString(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (unsigned char c : s) {
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -200,16 +204,19 @@ std::string quoteJsonString(std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xf]);
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
+}
+
+std::string quoteJsonString(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  appendJsonString(out, s);
   return out;
 }
 
@@ -227,7 +234,7 @@ void writeValue(const JsonValue& v, std::string& out) {
       appendJsonDouble(out, v.asNumber());
       break;
     case JsonValue::Kind::String:
-      out += quoteJsonString(v.asString());
+      appendJsonString(out, v.asString());
       break;
     case JsonValue::Kind::Array: {
       out.push_back('[');
@@ -246,7 +253,7 @@ void writeValue(const JsonValue& v, std::string& out) {
       for (const auto& [key, value] : v.members()) {
         if (!first) out.push_back(',');
         first = false;
-        out += quoteJsonString(key);
+        appendJsonString(out, key);
         out.push_back(':');
         writeValue(value, out);
       }

@@ -94,8 +94,12 @@ class JsonValue {
 /// input; nesting deeper than 64 levels is rejected.
 JsonValue parseJson(std::string_view text);
 
-/// JSON string escaping (quotes included): ", \ and control characters are
-/// escaped; everything else passes through byte-for-byte.
+/// Appends `s` as a JSON string (quotes included): ", \ and control
+/// characters are escaped; every other byte passes through unchanged,
+/// copied in runs rather than one at a time.
+void appendJsonString(std::string& out, std::string_view s);
+
+/// appendJsonString() into a new string.
 std::string quoteJsonString(std::string_view s);
 
 }  // namespace nano::svc

@@ -480,7 +480,11 @@ bool parseRequest(const std::string& line, Request& out, std::string& error) {
 // ----------------------------------------------------------- responses
 
 std::string Response::toJsonLine() const {
-  std::string out = "{\"id\":" + quoteJsonString(id);
+  std::string out;
+  // Room for the fixed fields and the newline a sink appends.
+  out.reserve(id.size() + data.size() + error.size() + 64);
+  out += "{\"id\":";
+  appendJsonString(out, id);
   if (hasKind) {
     out += ",\"kind\":\"";
     out += kindName(kind);
@@ -493,7 +497,8 @@ std::string Response::toJsonLine() const {
     out += ",\"data\":";
     out += data.empty() ? "{}" : data;
   } else {
-    out += ",\"error\":" + quoteJsonString(error);
+    out += ",\"error\":";
+    appendJsonString(out, error);
   }
   out.push_back('}');
   return out;

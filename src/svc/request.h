@@ -204,6 +204,9 @@ struct Request {
   /// (runServer numbers lines) or by Service::submit for direct callers;
   /// excluded from the canonical key so it never affects caching.
   obs::TraceContext trace;
+  /// canonicalKey(), once Service::submit has built it (empty before), so
+  /// the evaluation that follows a cache miss does not build it again.
+  std::string key;
 
   /// Canonical content key: kind plus every parameter (defaults filled) in
   /// a fixed order with round-trip double formatting. Equal keys <=> same
@@ -255,14 +258,15 @@ struct Response {
   // Observability annotations riding alongside the wire fields. NEVER
   // serialized by toJsonLine(), so replay output stays content-determined
   // whether or not tracing is on. Timestamps are obs::timingNowNs()
-  // samples (0 = not captured); the emitter samples the final "emitted"
+  // samples (0 = not captured); the session samples the final "emitted"
   // timestamp itself, so queue_wait (submit->dispatch), work
   // (dispatch->done), and emit (done->emitted) partition the request's
-  // wall time exactly in integer nanoseconds.
+  // wall time exactly in integer nanoseconds. A cache hit stamps all three
+  // at once: zero queue_wait and work.
   std::uint64_t traceId = 0;
   std::int64_t submitNs = 0;     ///< admitted into the scheduler queue
   std::int64_t dispatchNs = 0;   ///< picked up by an exec lane
-  std::int64_t doneNs = 0;       ///< handler finished, promise fulfilled
+  std::int64_t doneNs = 0;       ///< handler finished, completion called
   std::int64_t evalNs = 0;       ///< ns spent inside evaluate() (0 on hits)
   std::int64_t dedupJoinNs = 0;  ///< ns blocked joining an in-flight compute
 

@@ -1,6 +1,8 @@
 #include "svc/scheduler.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,19 +21,38 @@ Scheduler::Scheduler(std::function<Response(const Request&)> handler,
 
 Scheduler::~Scheduler() { stop(); }
 
+void Scheduler::submit(Request request, Completion done) {
+  enqueue(std::move(request), std::move(done), /*block=*/false);
+}
+
+void Scheduler::submitBlocking(Request request, Completion done) {
+  enqueue(std::move(request), std::move(done), /*block=*/true);
+}
+
+std::pair<Scheduler::Completion, std::future<Response>> promisedCompletion() {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  return {[promise](Response&& response) {
+            promise->set_value(std::move(response));
+          },
+          std::move(future)};
+}
+
 std::future<Response> Scheduler::submit(Request request) {
-  return enqueue(std::move(request), /*block=*/false);
+  auto [done, future] = promisedCompletion();
+  submit(std::move(request), std::move(done));
+  return std::move(future);
 }
 
 std::future<Response> Scheduler::submitBlocking(Request request) {
-  return enqueue(std::move(request), /*block=*/true);
+  auto [done, future] = promisedCompletion();
+  submitBlocking(std::move(request), std::move(done));
+  return std::move(future);
 }
 
-std::future<Response> Scheduler::enqueue(Request request, bool block) {
+void Scheduler::enqueue(Request request, Completion done, bool block) {
   Item item;
-  item.promise = std::promise<Response>();
   item.submitNs = obs::timingNowNs();
-  std::future<Response> future = item.promise.get_future();
   if (request.deadlineMs >= 0.0) {
     item.hasDeadline = true;
     // Client-supplied: an unclamped 1e300 ms overflows the duration_cast
@@ -43,6 +64,7 @@ std::future<Response> Scheduler::enqueue(Request request, bool block) {
                         std::chrono::duration<double, std::milli>(ms));
   }
 
+  bool stopped = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (block) {
@@ -50,36 +72,29 @@ std::future<Response> Scheduler::enqueue(Request request, bool block) {
         return stopping_ || queued_ < options_.maxQueue;
       });
     }
-    if (stopping_) {
+    stopped = stopping_;
+    if (!stopped && queued_ < options_.maxQueue) {
+      item.request = std::move(request);
+      item.done = std::move(done);
+      lanes_[static_cast<int>(item.request.priority)].push_back(std::move(item));
+      ++queued_;
+      if (queued_ + inBatch_ > peakDepth_) {
+        peakDepth_ = queued_ + inBatch_;
+        NANO_OBS_GAUGE("svc/queue_peak", static_cast<double>(peakDepth_));
+      }
+      NANO_OBS_GAUGE("svc/queue_depth", static_cast<double>(queued_));
       lock.unlock();
-      NANO_OBS_COUNT("svc/shed", 1);
-      Response shed =
-          makeFailure(request, ResponseStatus::Shed, "scheduler stopped");
-      shed.submitNs = shed.dispatchNs = shed.doneNs = item.submitNs;
-      item.promise.set_value(std::move(shed));
-      return future;
+      workCv_.notify_one();
+      return;
     }
-    if (queued_ >= options_.maxQueue) {
-      lock.unlock();
-      NANO_OBS_COUNT("svc/shed", 1);
-      Response shed = makeFailure(
-          request, ResponseStatus::Shed,
-          "queue full (" + std::to_string(options_.maxQueue) + " requests)");
-      shed.submitNs = shed.dispatchNs = shed.doneNs = item.submitNs;
-      item.promise.set_value(std::move(shed));
-      return future;
-    }
-    item.request = std::move(request);
-    lanes_[static_cast<int>(item.request.priority)].push_back(std::move(item));
-    ++queued_;
-    if (queued_ + inBatch_ > peakDepth_) {
-      peakDepth_ = queued_ + inBatch_;
-      NANO_OBS_GAUGE("svc/queue_peak", static_cast<double>(peakDepth_));
-    }
-    NANO_OBS_GAUGE("svc/queue_depth", static_cast<double>(queued_));
   }
-  workCv_.notify_one();
-  return future;
+  NANO_OBS_COUNT("svc/shed", 1);
+  Response shed = makeFailure(
+      request, ResponseStatus::Shed,
+      stopped ? "scheduler stopped"
+              : "queue full (" + std::to_string(options_.maxQueue) + " requests)");
+  shed.submitNs = shed.dispatchNs = shed.doneNs = item.submitNs;
+  done(std::move(shed));
 }
 
 void Scheduler::batcherLoop() {
@@ -111,12 +126,14 @@ void Scheduler::batcherLoop() {
           .timer("svc/batch_size")
           .record(static_cast<double>(batch.size()));
     }
-    const auto now = std::chrono::steady_clock::now();
     exec::parallelFor(batch.size(), [&](std::size_t i) {
       Item& item = batch[i];
       const std::int64_t dispatchNs = obs::timingNowNs();
       Response response;
-      if (item.hasDeadline && item.deadline <= now) {
+      // Each item's own dispatch time: on one lane the k-th item starts
+      // only after the k-1 evaluations ahead of it in the batch.
+      if (item.hasDeadline &&
+          item.deadline <= std::chrono::steady_clock::now()) {
         NANO_OBS_COUNT("svc/timeouts", 1);
         response = makeFailure(item.request, ResponseStatus::Timeout,
                                "deadline expired before evaluation");
@@ -136,7 +153,7 @@ void Scheduler::batcherLoop() {
               .record(static_cast<double>(queueWaitNs) * 1e-9);
         }
       }
-      item.promise.set_value(std::move(response));
+      item.done(std::move(response));
     });
 
     {

@@ -7,14 +7,18 @@
 // completes the request immediately with status "shed" instead of growing
 // without bound or blocking the acceptor (submitBlocking() opts into
 // waiting for space when the caller prefers backpressure to load loss).
-// A request whose deadline expires while queued is completed with status
-// "timeout" at dispatch time, without evaluation.
+// A request whose deadline has expired when its lane picks it up is
+// completed with status "timeout", without evaluation.
+//
+// Each request completes through its own callback: on the exec lane that
+// evaluated it, or on the submitting thread when it is shed. The
+// future-returning overloads wrap that for callers that want to wait.
 //
 // Instrumented: svc/queue_depth + svc/queue_peak gauges, svc/batches and
 // svc/shed and svc/timeouts counters, svc/batch_size sample distribution,
 // and the svc/phase/queue_wait latency histogram. Each dispatched item's
 // submit/dispatch/done timestamps are stamped onto its Response so the
-// emitter can decompose per-request wall time.
+// session can decompose per-request wall time.
 #pragma once
 
 #include <array>
@@ -26,6 +30,7 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "svc/request.h"
 
@@ -51,13 +56,22 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Admit one request. Returns a future that completes when the request
-  /// is evaluated (or refused). Never blocks: a full queue sheds, a
-  /// stopped scheduler sheds with "scheduler stopped".
-  std::future<Response> submit(Request request);
+  /// Receives a request's response exactly once, on the exec lane that
+  /// evaluated it (or, for a shed, on the submitting thread). Must not
+  /// throw.
+  using Completion = std::function<void(Response&&)>;
+
+  /// Admit one request; `done` gets its response once it is evaluated (or
+  /// refused). Never blocks: a full queue sheds, a stopped scheduler sheds
+  /// with "scheduler stopped".
+  void submit(Request request, Completion done);
 
   /// Like submit(), but waits for queue space instead of shedding —
   /// client-side backpressure for trusted in-process callers.
+  void submitBlocking(Request request, Completion done);
+
+  /// submit() / submitBlocking() with the response delivered to a future.
+  std::future<Response> submit(Request request);
   std::future<Response> submitBlocking(Request request);
 
   /// Block until every admitted request has completed.
@@ -74,13 +88,13 @@ class Scheduler {
  private:
   struct Item {
     Request request;
-    std::promise<Response> promise;
+    Completion done;
     std::chrono::steady_clock::time_point deadline;
     bool hasDeadline = false;
     std::int64_t submitNs = 0;  ///< obs::timingNowNs() at admission
   };
 
-  std::future<Response> enqueue(Request request, bool block);
+  void enqueue(Request request, Completion done, bool block);
   void batcherLoop();
 
   std::function<Response(const Request&)> handler_;
@@ -98,5 +112,9 @@ class Scheduler {
   std::once_flag joinOnce_;  ///< exactly one stop() joins the batcher
   std::thread batcher_;
 };
+
+/// A completion that fulfils a promise, paired with that promise's future:
+/// the adapter behind every future-returning submit().
+std::pair<Scheduler::Completion, std::future<Response>> promisedCompletion();
 
 }  // namespace nano::svc

@@ -41,10 +41,11 @@ Response Service::handle(const Request& request) {
   };
   // Stats snapshots live process state: identical keys do not imply
   // identical payloads, so they bypass the cache and dedup entirely.
+  // Every other request arrives with the key submit() built.
   const Outcome outcome =
       request.kind == RequestKind::Stats
           ? compute()
-          : cache_.getOrCompute(request.canonicalKey(), compute, request.trace,
+          : cache_.getOrCompute(request.key, compute, request.trace,
                                 &dedupJoinNs);
   Response response = makeResponse(request, outcome);
   response.evalNs = evalNs;
@@ -52,7 +53,7 @@ Response Service::handle(const Request& request) {
   return response;
 }
 
-std::future<Response> Service::submit(Request request) {
+void Service::submit(Request request, Scheduler::Completion done) {
   NANO_OBS_COUNT("svc/requests", 1);
   if (request.trace.id == 0 && obs::tracingEnabled()) {
     // The direct bit keeps these from ever colliding with the
@@ -62,8 +63,41 @@ std::future<Response> Service::submit(Request request) {
     request.trace.id =
         kDirectTraceBit | nextTraceId_.fetch_add(1, std::memory_order_relaxed);
   }
-  return options_.blockWhenFull ? scheduler_.submitBlocking(std::move(request))
-                                : scheduler_.submit(std::move(request));
+  if (request.kind != RequestKind::Stats) {
+    request.key = request.canonicalKey();
+    // A request with a deadline keeps the queue path, where an expired
+    // deadline answers "timeout" whether or not the key is cached.
+    if (request.deadlineMs < 0.0) {
+      if (const auto hit = cache_.find(request.key, request.trace)) {
+        Response response = makeResponse(request, *hit);
+        // Zero-length queue_wait and work keep the trace's per-request
+        // partition exact: a hit spends all its time in emit.
+        const std::int64_t now = obs::timingNowNs();
+        response.submitNs = response.dispatchNs = response.doneNs = now;
+        if (now > 0) {
+          obs::traceAsyncSpan("svc", "queue_wait", request.trace, now, now);
+          if (obs::enabled()) {
+            obs::MetricsRegistry::instance()
+                .timer("svc/phase/queue_wait")
+                .record(0.0);
+          }
+        }
+        done(std::move(response));
+        return;
+      }
+    }
+  }
+  if (options_.blockWhenFull) {
+    scheduler_.submitBlocking(std::move(request), std::move(done));
+  } else {
+    scheduler_.submit(std::move(request), std::move(done));
+  }
+}
+
+std::future<Response> Service::submit(Request request) {
+  auto [done, future] = promisedCompletion();
+  submit(std::move(request), std::move(done));
+  return std::move(future);
 }
 
 Response Service::call(Request request) {
@@ -85,18 +119,6 @@ ServerStats& ServerStats::operator+=(const ServerStats& other) {
 
 namespace {
 
-std::future<Response> readyResponse(Response response) {
-  std::promise<Response> p;
-  p.set_value(std::move(response));
-  return p.get_future();
-}
-
-std::string fmtMs(std::int64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", static_cast<double>(ns) * 1e-6);
-  return buf;
-}
-
 /// Sessions may share one slow-log stream (every socket connection logs
 /// into the same file), so record writes are serialized process-wide.
 std::mutex& slowLogMutex() {
@@ -107,47 +129,31 @@ std::mutex& slowLogMutex() {
 /// One structured slow-request JSONL record with the phase decomposition.
 void writeSlowRecord(std::ostream& os, const Response& response,
                      std::int64_t emitNs) {
+  std::string record = "{\"id\":";
+  appendJsonString(record, response.id);
+  record += ",\"kind\":\"";
+  record += response.hasKind ? kindName(response.kind) : "";
+  record += "\",\"status\":\"";
+  record += statusName(response.status);
+  record += "\",\"trace\":";
+  record += std::to_string(response.traceId);
+  auto milliseconds = [&record](const char* name, std::int64_t ns) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), ",\"%s\":%.6f", name,
+                  static_cast<double>(ns) * 1e-6);
+    record += buf;
+  };
+  milliseconds("wall_ms", emitNs - response.submitNs);
+  milliseconds("queue_wait_ms", response.dispatchNs - response.submitNs);
+  milliseconds("dedup_join_ms", response.dedupJoinNs);
+  milliseconds("eval_ms", response.evalNs);
+  milliseconds("emit_ms", emitNs - response.doneNs);
+  record += "}\n";
   std::lock_guard<std::mutex> lock(slowLogMutex());
-  os << "{\"id\":" << quoteJsonString(response.id) << ",\"kind\":\""
-     << (response.hasKind ? kindName(response.kind) : "") << "\",\"status\":\""
-     << statusName(response.status) << "\",\"trace\":" << response.traceId
-     << ",\"wall_ms\":" << fmtMs(emitNs - response.submitNs)
-     << ",\"queue_wait_ms\":" << fmtMs(response.dispatchNs - response.submitNs)
-     << ",\"dedup_join_ms\":" << fmtMs(response.dedupJoinNs)
-     << ",\"eval_ms\":" << fmtMs(response.evalNs)
-     << ",\"emit_ms\":" << fmtMs(emitNs - response.doneNs) << "}\n";
+  os << record;
 }
 
 }  // namespace
-
-// ----------------------------------------------------------- EmitQueue
-
-void Session::EmitQueue::push(std::future<Response> f) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  spaceCv_.wait(lock, [this] { return pending_.size() < limit_; });
-  pending_.push_back(std::move(f));
-  lock.unlock();
-  itemCv_.notify_one();
-}
-
-void Session::EmitQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  itemCv_.notify_all();
-}
-
-bool Session::EmitQueue::pop(std::future<Response>& out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  itemCv_.wait(lock, [this] { return !pending_.empty() || closed_; });
-  if (pending_.empty()) return false;
-  out = std::move(pending_.front());
-  pending_.pop_front();
-  lock.unlock();
-  spaceCv_.notify_one();
-  return true;
-}
 
 // ------------------------------------------------------------- Session
 
@@ -158,38 +164,124 @@ Session::Session(Service& service, ServerOptions options,
       options_(options),
       sink_(std::move(sink)),
       sessionId_(sessionId),
-      queue_(options.emitQueueLimit),
       slowThresholdNs_(
           static_cast<std::int64_t>(options.slowThresholdMs * 1e6)) {
-  emitter_ = std::thread([this] { emitterLoop(); });
+  if (options_.emitQueueLimit == 0) options_.emitQueueLimit = 1;
 }
 
 Session::~Session() { finish(); }
 
+std::uint64_t Session::reserve() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  spaceCv_.wait(lock, [this] {
+    return pending_.load(std::memory_order_acquire) < options_.emitQueueLimit;
+  });
+  pending_.fetch_add(1, std::memory_order_acq_rel);
+  slots_.emplace_back();
+  return headSeq_ + slots_.size() - 1;
+}
+
 void Session::consumeLine(const std::string& line) {
   ++consumedLines_;
-  const std::uint64_t traceId = makeSessionTraceId(sessionId_, consumedLines_);
   Request request;
   std::string error;
-  if (!parseRequest(line, request, error)) {
+  const bool parsed = parseRequest(line, request, error);
+  // Even a line that never parsed gets its real trace id: the journal
+  // and slow log would otherwise pile every invalid line onto id 0.
+  request.trace.id = makeSessionTraceId(sessionId_, consumedLines_);
+  const std::uint64_t seq = reserve();
+  if (!parsed) {
     NANO_OBS_COUNT("svc/invalid", 1);
-    // Even a line that never parsed gets its real trace id: the journal
-    // and slow log would otherwise pile every invalid line onto id 0.
-    request.trace.id = traceId;
-    pending_.fetch_add(1, std::memory_order_acq_rel);
-    queue_.push(readyResponse(
-        makeFailure(request, ResponseStatus::Invalid, std::move(error))));
+    complete(seq, makeFailure(request, ResponseStatus::Invalid, std::move(error)));
     return;
   }
-  request.trace.id = traceId;
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  queue_.push(service_.submit(std::move(request)));
+  service_.submit(std::move(request), [this, seq](Response&& response) {
+    complete(seq, std::move(response));
+  });
+}
+
+void Session::complete(std::uint64_t seq, Response&& response) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  Slot& slot = slots_[seq - headSeq_];
+  slot.response = std::move(response);
+  slot.ready = true;
+  // The active drainer, or whoever completes the head, emits this one.
+  if (draining_ || seq != headSeq_) return;
+  draining_ = true;
+  while (!slots_.empty() && slots_.front().ready) {
+    const Response ready = std::move(slots_.front().response);
+    slots_.pop_front();
+    ++headSeq_;
+    lock.unlock();
+    emit(ready);
+    lock.lock();
+    spaceCv_.notify_one();
+  }
+  draining_ = false;
+  const bool last = inputClosed_ && slots_.empty();
+  lock.unlock();
+  if (last) markFinished();
+}
+
+void Session::emit(const Response& response) {
+  std::string line = response.toJsonLine();
+  line.push_back('\n');
+  sink_(std::move(line));
+  pending_.fetch_sub(1, std::memory_order_acq_rel);
+  const std::int64_t emitNs = obs::timingNowNs();
+  const bool timed = response.submitNs > 0 && response.dispatchNs > 0 &&
+                     response.doneNs > 0 && emitNs > 0;
+  if (timed) {
+    const obs::TraceContext trace{response.traceId};
+    obs::traceAsyncSpan("svc", "request", trace, response.submitNs, emitNs);
+    obs::traceAsyncSpan("svc", "work", trace, response.dispatchNs,
+                        response.doneNs);
+    obs::traceAsyncSpan("svc", "emit", trace, response.doneNs, emitNs);
+    if (obs::enabled()) {
+      auto& registry = obs::MetricsRegistry::instance();
+      registry.timer("svc/phase/emit")
+          .record(static_cast<double>(emitNs - response.doneNs) * 1e-9);
+      registry.timer("svc/latency/total")
+          .record(static_cast<double>(emitNs - response.submitNs) * 1e-9);
+    }
+  }
+  if (timed && emitNs - response.submitNs >= slowThresholdNs_) {
+    ++stats_.slow;
+    NANO_OBS_COUNT("svc/slow_requests", 1);
+    if (options_.slowLog != nullptr) {
+      writeSlowRecord(*options_.slowLog, response, emitNs);
+    }
+  }
+  switch (response.status) {
+    case ResponseStatus::Ok: ++stats_.ok; break;
+    case ResponseStatus::Error: ++stats_.errors; break;
+    case ResponseStatus::Invalid: ++stats_.invalid; break;
+    case ResponseStatus::Shed: ++stats_.shed; break;
+    case ResponseStatus::Timeout: ++stats_.timeouts; break;
+  }
 }
 
 void Session::closeInput() {
-  if (!inputClosed_.exchange(true, std::memory_order_acq_rel)) {
-    queue_.close();
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (inputClosed_) return;
+  inputClosed_ = true;
+  const bool last = slots_.empty() && !draining_;
+  lock.unlock();
+  if (last) markFinished();
+}
+
+void Session::markFinished() {
+  if (options_.slowLog != nullptr) {
+    std::lock_guard<std::mutex> lock(slowLogMutex());
+    options_.slowLog->flush();
   }
+  finished_.store(true, std::memory_order_release);
+  if (drained_) drained_();
+  // Notify under the lock: finish() may destroy the session as soon as it
+  // sees done_, so nothing here may touch it after the unlock.
+  const std::lock_guard<std::mutex> lock(mutex_);
+  done_ = true;
+  doneCv_.notify_all();
 }
 
 void Session::setDrainedCallback(std::function<void()> callback) {
@@ -198,58 +290,10 @@ void Session::setDrainedCallback(std::function<void()> callback) {
 
 ServerStats Session::finish() {
   closeInput();
-  if (!joined_) {
-    emitter_.join();
-    joined_ = true;
-    stats_.lines = consumedLines_;
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  doneCv_.wait(lock, [this] { return done_; });
+  stats_.lines = consumedLines_;
   return stats_;
-}
-
-void Session::emitterLoop() {
-  std::future<Response> next;
-  while (queue_.pop(next)) {
-    const Response response = next.get();
-    sink_(response.toJsonLine() + '\n');
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    const std::int64_t emitNs = obs::timingNowNs();
-    const bool timed = response.submitNs > 0 && response.dispatchNs > 0 &&
-                       response.doneNs > 0 && emitNs > 0;
-    if (timed) {
-      const obs::TraceContext trace{response.traceId};
-      obs::traceAsyncSpan("svc", "request", trace, response.submitNs, emitNs);
-      obs::traceAsyncSpan("svc", "work", trace, response.dispatchNs,
-                          response.doneNs);
-      obs::traceAsyncSpan("svc", "emit", trace, response.doneNs, emitNs);
-      if (obs::enabled()) {
-        auto& registry = obs::MetricsRegistry::instance();
-        registry.timer("svc/phase/emit")
-            .record(static_cast<double>(emitNs - response.doneNs) * 1e-9);
-        registry.timer("svc/latency/total")
-            .record(static_cast<double>(emitNs - response.submitNs) * 1e-9);
-      }
-    }
-    if (timed && emitNs - response.submitNs >= slowThresholdNs_) {
-      ++stats_.slow;
-      NANO_OBS_COUNT("svc/slow_requests", 1);
-      if (options_.slowLog != nullptr) {
-        writeSlowRecord(*options_.slowLog, response, emitNs);
-      }
-    }
-    switch (response.status) {
-      case ResponseStatus::Ok: ++stats_.ok; break;
-      case ResponseStatus::Error: ++stats_.errors; break;
-      case ResponseStatus::Invalid: ++stats_.invalid; break;
-      case ResponseStatus::Shed: ++stats_.shed; break;
-      case ResponseStatus::Timeout: ++stats_.timeouts; break;
-    }
-  }
-  if (options_.slowLog != nullptr) {
-    std::lock_guard<std::mutex> lock(slowLogMutex());
-    options_.slowLog->flush();
-  }
-  finished_.store(true, std::memory_order_release);
-  if (drained_) drained_();
 }
 
 // ----------------------------------------------------------- runServer

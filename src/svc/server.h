@@ -4,6 +4,9 @@
 // loop and each socket connection run the same Session: lines in, one
 // response line out per request, in input order (so a replayed trace is
 // byte-stable no matter which transport carried it).
+//
+// No thread belongs to a session: each response is emitted by the thread
+// that already has it (see Session).
 #pragma once
 
 #include <atomic>
@@ -16,7 +19,6 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "svc/cache.h"
 #include "svc/eval.h"
@@ -73,10 +75,18 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Admit one request (already parsed). Counts svc/requests. While
-  /// tracing is enabled, a request arriving without a trace id is
+  /// Answer one request (already parsed): `done` receives its response
+  /// exactly once. Counts svc/requests. A request without a deadline whose
+  /// key is cached is answered on the calling thread before submit()
+  /// returns; it never enters the queue, so it is never shed and never
+  /// times out. Every other request goes through the scheduler, and `done`
+  /// runs on the exec lane that evaluated it (or here, when it is shed).
+  /// While tracing is enabled, a request arriving without a trace id is
   /// assigned one from a per-service counter (kDirectTraceBit set, so it
   /// can never collide with a session-assigned id).
+  void submit(Request request, Scheduler::Completion done);
+
+  /// submit() with the response delivered to a future.
   std::future<Response> submit(Request request);
 
   /// Synchronous convenience: submit and wait.
@@ -129,18 +139,24 @@ struct ServerOptions {
   /// internally, so many sessions may share one stream.
   std::ostream* slowLog = nullptr;
   double slowThresholdMs = 50.0;
-  /// Pending responses buffered between submission and emission before
-  /// the pipeline pushes back (stdin: the reader blocks; sockets: the
-  /// receive loop stops reading that connection). Bounds memory when
-  /// evaluation or the client is slower than the request stream.
+  /// Responses not yet handed to the sink before the pipeline pushes back
+  /// (stdin: the reader blocks; sockets: the receive loop stops reading
+  /// that connection). Bounds memory when evaluation or the client is
+  /// slower than the request stream.
   std::size_t emitQueueLimit = 8192;
 };
 
-/// One front-end pipeline: lines in (any thread, one at a time), ordered
-/// response lines out through `sink` on a dedicated emitter thread. The
-/// stdin server wraps exactly one Session around cin/cout; the socket
-/// server runs one per connection — same parse/submit/emit path, same
-/// stats, same tracing, so transports cannot diverge behaviorally.
+/// One front-end pipeline: lines in (one thread at a time), ordered
+/// response lines out through `sink`. The stdin server wraps exactly one
+/// Session around cin/cout; the socket server runs one per connection —
+/// same parse/submit/emit path, same stats, same tracing, so transports
+/// cannot diverge behaviorally.
+///
+/// Responses wait in input order in a buffer guarded by the session's
+/// mutex. Whichever thread completes the response at the head of that
+/// buffer hands every ready response at the head to the sink, one such
+/// drainer at a time: the consumeLine() thread for cache hits, invalid
+/// lines and sheds, the exec lane for evaluated requests.
 ///
 /// Every consumed line gets the session-unique trace id
 /// makeSessionTraceId(sessionId, lineNo) — including lines that fail to
@@ -149,11 +165,12 @@ struct ServerOptions {
 class Session {
  public:
   /// `sink` receives each serialized response line (newline included) in
-  /// input order, called from the emitter thread. It must not call back
-  /// into this Session.
+  /// input order, on the consumeLine() thread or on an exec lane, never
+  /// on two threads at once. It must not call back into this Session.
   Session(Service& service, ServerOptions options,
           std::function<void(std::string&&)> sink, std::uint64_t sessionId);
-  /// Joins the emitter (closing input first if the caller did not).
+  /// finish(): closes input if the caller did not, and waits for every
+  /// response.
   ~Session();
 
   Session(const Session&) = delete;
@@ -165,68 +182,66 @@ class Session {
   /// loop) gate on pendingResponses() before calling.
   void consumeLine(const std::string& line);
 
-  /// Responses submitted but not yet handed to the sink. Monotonic
-  /// observations: grows only in consumeLine's thread, shrinks only in
-  /// the emitter's.
+  /// Responses submitted but not yet handed to the sink. Grows only in
+  /// consumeLine's thread, and drops only after the sink has returned.
   [[nodiscard]] std::size_t pendingResponses() const {
     return pending_.load(std::memory_order_acquire);
   }
 
-  /// No more consumeLine calls will come; the emitter finishes what is
-  /// queued and exits. Safe to call from any thread, idempotent, never
-  /// blocks.
+  /// No more consumeLine calls will come. Safe to call from any thread,
+  /// idempotent, never blocks.
   void closeInput();
 
-  /// True once the emitter has emitted everything and exited.
+  /// True once input is closed and every response went to the sink.
   [[nodiscard]] bool finished() const {
     return finished_.load(std::memory_order_acquire);
   }
 
-  /// Invoked (once, from the emitter thread) after the final response has
-  /// been handed to the sink. Set before the first consumeLine.
+  /// Invoked once, after the final response has been handed to the sink:
+  /// on the thread that emitted it, or in closeInput() when nothing was
+  /// left. Set before the first consumeLine.
   void setDrainedCallback(std::function<void()> callback);
 
-  /// closeInput() + join the emitter. The session tally is valid after
-  /// this returns.
+  /// closeInput() + wait until the session has finished. The session
+  /// tally is valid after this returns.
   ServerStats finish();
 
   [[nodiscard]] std::uint64_t sessionId() const { return sessionId_; }
 
  private:
-  /// Bounded hand-off of pending responses from the consumer to the
-  /// emitter, preserving submission order. Ready failure responses count
-  /// too, so a flood of sheds cannot grow memory without bound.
-  class EmitQueue {
-   public:
-    explicit EmitQueue(std::size_t limit) : limit_(limit == 0 ? 1 : limit) {}
-    void push(std::future<Response> f);
-    void close();
-    bool pop(std::future<Response>& out);
-
-   private:
-    std::mutex mutex_;
-    std::condition_variable itemCv_, spaceCv_;
-    std::deque<std::future<Response>> pending_;
-    std::size_t limit_;
-    bool closed_ = false;
+  struct Slot {
+    Response response;
+    bool ready = false;
   };
 
-  void emitterLoop();
+  /// Reserve the next response slot (blocking while at the limit).
+  std::uint64_t reserve();
+  /// Fill slot `seq`; drain the ready head when no drainer is active.
+  void complete(std::uint64_t seq, Response&& response);
+  /// Sink one response, then trace, time and tally it (drainer only).
+  void emit(const Response& response);
+  /// Last step after the final response: flush, mark, notify.
+  void markFinished();
 
   Service& service_;
   ServerOptions options_;
   std::function<void(std::string&&)> sink_;
   std::uint64_t sessionId_;
   std::uint64_t consumedLines_ = 0;  ///< consumeLine's thread only
-  EmitQueue queue_;
   std::atomic<std::size_t> pending_{0};
   std::atomic<bool> finished_{false};
-  std::atomic<bool> inputClosed_{false};
   std::function<void()> drained_;
-  ServerStats stats_;             ///< emitter thread only, until finish()
   std::int64_t slowThresholdNs_;
-  bool joined_ = false;
-  std::thread emitter_;
+
+  std::mutex mutex_;
+  std::condition_variable spaceCv_;  ///< consumeLine waits: below the limit
+  std::condition_variable doneCv_;   ///< finish waits: markFinished returned
+  std::deque<Slot> slots_;           ///< unemitted responses, input order
+  std::uint64_t headSeq_ = 0;        ///< sequence number of slots_.front()
+  bool draining_ = false;            ///< a thread is emitting the head
+  bool inputClosed_ = false;
+  bool done_ = false;                ///< markFinished() has returned
+  ServerStats stats_;                ///< current drainer only, until done_
 };
 
 /// Serve JSONL requests from `in` until EOF: one response line per request
@@ -235,11 +250,12 @@ class Session {
 /// unparseable lines produce status:"invalid" responses and keep serving.
 ///
 /// Runs one Session (with a fresh session id from the service) whose sink
-/// appends to `out`. While obs or tracing is on, the emitter records the
+/// appends to `out`. While obs or tracing is on, the session records the
 /// svc/phase/emit and svc/latency/total histograms and per-request
-/// "request"/"work"/"emit" async trace spans (queue_wait comes from the
-/// scheduler, dedup_join and eval from the cache and handler), so
-/// queue_wait + work + emit partitions each request's wall time exactly.
+/// "request"/"work"/"emit" async trace spans at emission (queue_wait comes
+/// from the scheduler, or is zero-length on a cache hit; dedup_join and
+/// eval from the cache and handler), so queue_wait + work + emit
+/// partitions each request's wall time exactly.
 ServerStats runServer(std::istream& in, std::ostream& out, Service& service,
                       const ServerOptions& options);
 ServerStats runServer(std::istream& in, std::ostream& out, Service& service);

@@ -385,6 +385,30 @@ TEST_F(NetServerTest, TinyEmitQueuePausesReadsWithoutChangingOneByte) {
   EXPECT_EQ(socketOut, stdinOut.str());
 }
 
+TEST_F(NetServerTest, ZeroEmitQueueLimitStillAnswersEveryLine) {
+  // `nanod --emit-queue 0` once paused every connection for good: the
+  // read gate admits a line only while pendingResponses() < limit.
+  auto mockPtr = std::make_unique<MockSocketOps>();
+  MockSocketOps& mock = *mockPtr;
+  svc::Service service;
+  NetServerOptions options;
+  options.tcpPort = 0;
+  options.session.emitQueueLimit = 0;
+  NetServer server(service, options, std::move(mockPtr));
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  const int fd = mock.connectTcp(server.tcpPort());
+  ASSERT_GE(fd, 0);
+  mock.clientSend(fd, R"({"id":"a","kind":"wire"})" "\n"
+                      R"({"id":"b","kind":"wire"})" "\n");
+  mock.clientCloseWrite(fd);
+  const std::vector<std::string> lines = splitLines(mock.clientReadAll(fd));
+  server.stop();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind(R"({"id":"a",)", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind(R"({"id":"b",)", 0), 0u) << lines[1];
+}
+
 // ----------------------------------------- overload sheds, in order
 
 TEST_F(NetServerTest, QueueOverloadShedsWithStructuredStatusInOrder) {

@@ -11,6 +11,7 @@
 #include <random>
 #include <regex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nano::svc {
@@ -306,6 +307,75 @@ TEST(JsonWrite, SetReplacesInPlace) {
   obj.set("b", 2);
   obj.set("a", 3);
   EXPECT_EQ(obj.write(), R"({"a":3,"b":2})");
+}
+
+/// The byte-at-a-time quoter appendJsonString replaced, kept verbatim as
+/// its oracle.
+std::string byteQuote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(static_cast<char>(c));
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+/// appendJsonString onto a non-empty buffer, checked against the oracle.
+void expectQuotedLikeOracle(const std::string& s) {
+  std::string appended = "prefix";
+  appendJsonString(appended, s);
+  ASSERT_EQ(appended, "prefix" + byteQuote(s));
+  ASSERT_EQ(quoteJsonString(s), byteQuote(s));
+}
+
+TEST(JsonQuote, MatchesByteQuoterOnEveryOneAndTwoByteString) {
+  for (int a = 0; a < 256; ++a) {
+    const std::string one(1, static_cast<char>(a));
+    expectQuotedLikeOracle(one);
+    for (int b = 0; b < 256; ++b) {
+      expectQuotedLikeOracle(one + static_cast<char>(b));
+    }
+  }
+  expectQuotedLikeOracle("");
+}
+
+TEST(JsonQuote, MatchesByteQuoterOnSeededStrings) {
+  // Mixes of long plain runs, UTF-8 sequences, escapes and control bytes.
+  const std::vector<std::string> pieces = {
+      "design_point", std::string(300, 'x'), "\xc3\xa9", "\xe2\x82\xac",
+      "\xf0\x9f\x98\x80", "\"", "\\", "\n", "\t", std::string(1, '\0'),
+      "\x1f", "\x7f", "\xff", " ", "vdd=0.55,vth=0.17"};
+  std::mt19937_64 rng(21);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s;
+    const std::size_t parts = rng() % 12;
+    for (std::size_t p = 0; p < parts; ++p) {
+      if (rng() % 4 == 0) {
+        s.push_back(static_cast<char>(rng() % 256));
+      } else {
+        s += pieces[rng() % pieces.size()];
+      }
+    }
+    expectQuotedLikeOracle(s);
+  }
 }
 
 TEST(JsonRoundTrip, ParseOfWriteIsIdentity) {

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "exec/exec.h"
+
 namespace nano::svc {
 namespace {
 
@@ -154,6 +156,43 @@ TEST(Scheduler, ZeroDeadlineTimesOutDeterministically) {
   ok.deadlineMs = 60000.0;
   EXPECT_EQ(scheduler.submit(std::move(ok)).get().status, ResponseStatus::Ok);
   EXPECT_EQ(evaluated.load(), 1);
+}
+
+TEST(Scheduler, DeadlineIsCheckedAtEachItemsOwnDispatch) {
+  // On one lane the second request of a batch starts only after the first
+  // has been evaluated. Its deadline counts from admission to that start,
+  // so a 50 ms budget behind a 200 ms evaluation has expired, even though
+  // it had not when the batch began.
+  const int savedLanes = exec::threadCount();
+  exec::setGlobalThreadCount(1);
+  std::vector<std::string> evaluated;  // batcher thread only
+  GatedHandler gate;
+  {
+    Scheduler scheduler(
+        [&](const Request& r) {
+          if (r.id == "slow") {
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+          }
+          evaluated.push_back(r.id);
+          return gate(r);
+        },
+        {});
+    // Park the batcher so that "slow" and "late" queue into one batch.
+    auto parked = scheduler.submit(requestNamed("parked"));
+    gate.waitUntilEntered(1);
+    auto slow = scheduler.submit(requestNamed("slow"));
+    Request late = requestNamed("late");
+    late.deadlineMs = 50.0;
+    auto lateF = scheduler.submit(std::move(late));
+    gate.release();
+    EXPECT_EQ(parked.get().status, ResponseStatus::Ok);
+    EXPECT_EQ(slow.get().status, ResponseStatus::Ok);
+    const Response resp = lateF.get();
+    EXPECT_EQ(resp.status, ResponseStatus::Timeout) << resp.error;
+  }
+  const std::vector<std::string> expected = {"parked", "slow"};
+  EXPECT_EQ(evaluated, expected);
+  exec::setGlobalThreadCount(savedLanes);
 }
 
 TEST(Scheduler, SubmitAfterStopSheds) {
