@@ -219,11 +219,9 @@ Section33Claims computeSection33Claims(double activity) {
   return c;
 }
 
-std::vector<Fig5Row> computeFigure5(bool withMeshCrossCheck,
-                                    const powergrid::GridSolverOptions& solver) {
+std::vector<Fig5Row> computeFigure5(bool withMeshCrossCheck) {
   powergrid::IrDropOptions options;
   options.runMesh = withMeshCrossCheck;
-  options.solver = solver;
   // One mesh solve per roadmap node — the heaviest per-item sweep here.
   const auto features = tech::roadmapFeatures();
   return exec::parallelMap<Fig5Row>(features.size(), [&](std::size_t i) {

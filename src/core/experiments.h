@@ -106,10 +106,6 @@ struct Fig5Row {
   powergrid::IrDropReport minPitch;
   powergrid::IrDropReport itrs;
 };
-/// `gridSolver` selects the mesh solver for the cross-check (Jacobi-CG vs
-/// multigrid-CG); ignored when `withMeshCrossCheck` is false.
-std::vector<Fig5Row> computeFigure5(
-    bool withMeshCrossCheck = false,
-    const powergrid::GridSolverOptions& gridSolver = {});
+std::vector<Fig5Row> computeFigure5(bool withMeshCrossCheck = false);
 
 }  // namespace nano::core

@@ -274,42 +274,10 @@ __attribute__((target("avx2"))) void gsSellAvx2(const GsColorPack& p,
   }
   if (k < slotEnd) gsScalar(p, b, x, k, slotEnd);
 }
-#endif
-
-// ---- Weighted-Jacobi update variants --------------------------------------
-
-void jacobiScalar(double weight, const double* invDiag, const double* b,
-                  const double* t, double* x, std::size_t begin,
-                  std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    x[i] += weight * invDiag[i] * (b[i] - t[i]);
-  }
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void jacobiAvx2(double weight,
-                                                const double* invDiag,
-                                                const double* b,
-                                                const double* t, double* x,
-                                                std::size_t begin,
-                                                std::size_t end) {
-  const __m256d vw = _mm256_set1_pd(weight);
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const __m256d wd = _mm256_mul_pd(vw, _mm256_loadu_pd(invDiag + i));
-    const __m256d res =
-        _mm256_sub_pd(_mm256_loadu_pd(b + i), _mm256_loadu_pd(t + i));
-    const __m256d xv =
-        _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_mul_pd(wd, res));
-    _mm256_storeu_pd(x + i, xv);
-  }
-  jacobiScalar(weight, invDiag, b, t, x, i, end);
-}
 #else
 // No AVX2 code off x86; activeIsa() is always Scalar there.
 constexpr SpmvFn spmvSellAvx2 = nullptr;
 constexpr GsFn gsSellAvx2 = nullptr;
-constexpr JacobiFn jacobiAvx2 = nullptr;
 #endif
 
 }  // namespace
@@ -324,12 +292,6 @@ const KernelFamily<SpmvFn>& spmvFamily() {
 const KernelFamily<GsFn>& gsFamily() {
   static const auto* family = new KernelFamily<GsFn>(
       "gs", "gs_sell_scalar", gsScalar, "gs_sell_avx2", gsSellAvx2);
-  return *family;
-}
-
-const KernelFamily<JacobiFn>& jacobiFamily() {
-  static const auto* family = new KernelFamily<JacobiFn>(
-      "jacobi", "jacobi_scalar", jacobiScalar, "jacobi_avx2", jacobiAvx2);
   return *family;
 }
 

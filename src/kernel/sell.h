@@ -1,6 +1,6 @@
 // Sliced-ELL (SELL-4) repacking of CSR sparse operators, plus the kernel
-// families for the power-grid hot loops: SpMV, the red-black/four-color
-// Gauss-Seidel sweep, and the weighted-Jacobi update.
+// families for the power-grid hot loops: SpMV and the red-black/four-color
+// Gauss-Seidel sweep.
 //
 // Layout: rows are grouped into slices of 4 consecutive rows. Each slice
 // stores the first `w` entries of every row slot-major (4 doubles per
@@ -84,11 +84,5 @@ const KernelFamily<SpmvFn>& spmvFamily();
 using GsFn = void (*)(const GsColorPack&, const double* b, double* x,
                       std::size_t slotBegin, std::size_t slotEnd);
 const KernelFamily<GsFn>& gsFamily();
-
-/// x[i] += weight * invDiag[i] * (b[i] - t[i]) for i in [begin, end).
-using JacobiFn = void (*)(double weight, const double* invDiag,
-                          const double* b, const double* t, double* x,
-                          std::size_t begin, std::size_t end);
-const KernelFamily<JacobiFn>& jacobiFamily();
 
 }  // namespace nano::kernel

@@ -16,6 +16,9 @@ namespace {
 // V-cycle's mesh-independent convergence pays for itself.
 constexpr std::size_t kAutoMultigridThreshold = 32768;
 
+constexpr double kRelTolerance = 1e-10;
+constexpr int kMaxIterations = 20000;
+
 void validateConfig(const GridConfig& cfg) {
   if (cfg.railPitch <= 0 || cfg.bumpPitch < cfg.railPitch ||
       cfg.railWidth <= 0 || cfg.tilesX < 1 || cfg.tilesY < 1 ||
@@ -175,20 +178,11 @@ GridSolution solveGrid(const GridConfig& cfg, const GridSolverOptions& opt) {
   GridSolution sol;
   CgResult cg;
   if (kind == PreconditionerKind::Multigrid) {
-    // Non-default multigrid options bypass the cached hierarchy.
-    std::unique_ptr<MultigridHierarchy> custom;
-    const MultigridHierarchy* mg;
-    if (opt.multigrid == MultigridOptions{}) {
-      mg = &model->hierarchy();
-    } else {
-      custom = std::make_unique<MultigridHierarchy>(model->unitLaplacian(),
-                                                    topo, opt.multigrid);
-      mg = custom.get();
-    }
-    sol.mgLevels = mg->levelCount();
-    sol.preconditioner = mg->name();
-    cg = solveCg(model->unitLaplacian(), rhs, *mg, opt.relTolerance,
-                 opt.maxIterations);
+    const MultigridHierarchy& mg = model->hierarchy();
+    sol.mgLevels = mg.levelCount();
+    sol.preconditioner = mg.name();
+    cg = solveCg(model->unitLaplacian(), rhs, mg, kRelTolerance,
+                 kMaxIterations);
     if (!cg.converged) {
       // Stalled or diverged V-cycle: a wrong-but-finite preconditioner can
       // make CG wander forever. Re-solve with plain Jacobi-CG, which is
@@ -196,12 +190,10 @@ GridSolution solveGrid(const GridConfig& cfg, const GridSolverOptions& opt) {
       NANO_OBS_COUNT("powergrid/mg_fallback", 1);
       sol.mgFellBack = true;
       sol.preconditioner = "jacobi";
-      cg = solveCg(model->unitLaplacian(), rhs, opt.relTolerance,
-                   opt.maxIterations);
+      cg = solveCg(model->unitLaplacian(), rhs, kRelTolerance, kMaxIterations);
     }
   } else {
-    cg = solveCg(model->unitLaplacian(), rhs, opt.relTolerance,
-                 opt.maxIterations);
+    cg = solveCg(model->unitLaplacian(), rhs, kRelTolerance, kMaxIterations);
   }
 
   sol.nx = nx;
@@ -239,7 +231,7 @@ GridConfig gridConfigForNode(const tech::TechNode& node, double widthMultiple,
   cfg.railSheetResistance = node.metalResistivity / node.globalWireThickness();
   cfg.supplyVoltage = node.vdd;
   cfg.powerDensity = node.powerDensity();
-  cfg.hotspotFactor = withHotspot ? 4.0 : 1.0;
+  cfg.hotspotFactor = withHotspot ? kHotspotFactor : 1.0;
   cfg.hotspotCellsRail = withHotspot ? 1 : 0;
   cfg.tilesX = 3;
   cfg.tilesY = 3;

@@ -46,15 +46,10 @@ enum class PreconditionerKind {
   Multigrid,
 };
 
-/// Solver selection for solveGrid (and everything layered on it).
+/// Solver selection for solveGrid (and everything layered on it). CG runs
+/// to a relative residual of 1e-10 within 20,000 iterations.
 struct GridSolverOptions {
   PreconditionerKind preconditioner = PreconditionerKind::Auto;
-  double relTolerance = 1e-10;
-  int maxIterations = 20000;
-  MultigridOptions multigrid;
-
-  friend bool operator==(const GridSolverOptions&,
-                         const GridSolverOptions&) = default;
 };
 
 /// Solved grid.
@@ -97,7 +92,7 @@ class GridModel {
   [[nodiscard]] const MeshIndex& index() const { return index_; }
   /// Laplacian with unit edge conductance; scale the rhs by 1/g instead.
   [[nodiscard]] const SparseSpd& unitLaplacian() const { return laplacian_; }
-  /// Default-options hierarchy over unitLaplacian(), built on first use.
+  /// Multigrid hierarchy over unitLaplacian(), built on first use.
   [[nodiscard]] const MultigridHierarchy& hierarchy() const;
 
  private:
@@ -115,6 +110,10 @@ GridTopology gridTopology(const GridConfig& config);
 /// Build (or fetch from cache) and solve the mesh for `config`.
 GridSolution solveGrid(const GridConfig& config,
                        const GridSolverOptions& options = {});
+
+/// Hot-spot power density as a multiple of the node's average: the
+/// Figure 5 closed form and gridConfigForNode's hot spot both use it.
+inline constexpr double kHotspotFactor = 4.0;
 
 /// Grid configuration for a roadmap node with rails `widthMultiple` times
 /// the minimum top-level width. `padPitch` is the pitch of the full bump

@@ -30,7 +30,7 @@ IrDropReport requiredLinewidth(const tech::TechNode& node, double padPitch,
   // Drop ~ 1/W: solve directly.
   const double dropAtUnitWidth =
       railMaxDrop(1.0, rep.railPitch, rep.railPitch, sheet,
-                  node.powerDensity(), options.hotspotFactor, node.vdd);
+                  node.powerDensity(), kHotspotFactor, node.vdd);
   rep.requiredWidth = dropAtUnitWidth / budget;
   rep.widthOverMin = rep.requiredWidth / node.minGlobalWireWidth();
 
@@ -38,18 +38,15 @@ IrDropReport requiredLinewidth(const tech::TechNode& node, double padPitch,
   // of routing there is one rail (Vdd or GND) of requiredWidth.
   rep.routingFraction = rep.requiredWidth / padPitch;
 
-  rep.bumpCurrent = options.hotspotFactor * node.powerDensity() *
+  rep.bumpCurrent = kHotspotFactor * node.powerDensity() *
                     rep.railPitch * rep.railPitch / node.vdd;
   rep.bumpCurrentOk = rep.bumpCurrent <= node.bumpCurrentLimit;
   rep.vddBumpCount = static_cast<int>(
       std::round(node.dieArea / (rep.railPitch * rep.railPitch)));
 
   if (options.runMesh) {
-    GridConfig cfg = gridConfigForNode(
-        node, rep.widthOverMin, padPitch, options.hotspotFactor > 1.0);
-    cfg.hotspotFactor = options.hotspotFactor;
-    cfg.subdivisions = options.meshSubdivisions;
-    const GridSolution sol = solveGrid(cfg, options.solver);
+    const GridSolution sol =
+        solveGrid(gridConfigForNode(node, rep.widthOverMin, padPitch));
     rep.meshDropFraction = sol.maxDropFraction;
   }
   return rep;

@@ -16,18 +16,15 @@ double railMaxDrop(double railWidth, double railPitch, double bumpPitch,
                    double sheetResistance, double powerDensity,
                    double hotspotFactor, double supplyVoltage);
 
-/// Analysis options.
+/// Analysis options. The hot spot runs at kHotspotFactor times the
+/// average power density.
 struct IrDropOptions {
   /// IR budget per polarity as a fraction of Vdd (paper: <10 % for the
   /// full Vdd-GND loop => 5 % per rail polarity).
   double budgetFraction = 0.05;
-  double hotspotFactor = 4.0;
-  /// Cross-check the closed form against the mesh solver.
+  /// Cross-check the closed form against the mesh solver, on the
+  /// gridConfigForNode mesh (8 nodes per rail span, hot spot on).
   bool runMesh = false;
-  /// Mesh resolution for the cross-check (nodes per rail span).
-  int meshSubdivisions = 8;
-  /// Solver selection for the mesh cross-check (Jacobi vs multigrid CG).
-  GridSolverOptions solver;
 };
 
 /// Result of a required-linewidth solve at one node / bump pitch.

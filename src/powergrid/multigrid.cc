@@ -18,42 +18,13 @@ namespace {
 // parallel region costs more than it saves.
 constexpr std::size_t kParallelSmoothRows = 8192;
 
-// Coarsest-level fallback when no dense factorization is available. Plain
-// Jacobi-PCG, deliberately free of obs counters so inner solves cannot
-// pollute the outer powergrid/cg_* metrics that tests assert on.
-void fallbackCoarseCg(const SparseSpd& a, const std::vector<double>& b,
-                      std::vector<double>& x) {
-  const std::size_t n = a.size();
-  x.assign(n, 0.0);
-  std::vector<double> r = b, z(n), p(n), ap(n);
-  auto dot = [](const std::vector<double>& u, const std::vector<double>& v) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < u.size(); ++i) s += u[i] * v[i];
-    return s;
-  };
-  const double bNorm = std::sqrt(dot(b, b));
-  if (bNorm == 0.0 || !std::isfinite(bNorm)) return;
-  for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / a.diagonal(i);
-  p = z;
-  double rz = dot(r, z);
-  const double threshold = 1e-10 * bNorm;
-  const int maxIterations = static_cast<int>(4 * n) + 100;
-  for (int it = 0; it < maxIterations; ++it) {
-    a.multiply(p, ap);
-    const double alpha = rz / dot(p, ap);
-    if (!std::isfinite(alpha)) break;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    if (std::sqrt(dot(r, r)) <= threshold) break;
-    for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / a.diagonal(i);
-    const double rzNew = dot(r, z);
-    const double beta = rzNew / rz;
-    rz = rzNew;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-}
+// The fixed V-cycle: coarsen until a level has at most kCoarseTarget
+// unknowns (or kMaxLevels levels exist); a coarsest level of at most
+// kDenseDirectLimit unknowns gets a dense Cholesky factorization at setup,
+// a larger one an inner Jacobi-CG per V-cycle.
+constexpr std::size_t kCoarseTarget = 512;
+constexpr std::size_t kDenseDirectLimit = 1024;
+constexpr std::size_t kMaxLevels = 16;
 }  // namespace
 
 bool GridTopology::canCoarsen() const {
@@ -129,13 +100,10 @@ struct MultigridHierarchy::Level {
   MeshIndex index;
   std::unique_ptr<SparseSpd> owned;  // null at level 0 (caller's matrix)
   const SparseSpd* a = nullptr;
-  std::vector<double> invDiag;
-  SmootherKind smoother = SmootherKind::WeightedJacobi;
-  // Color buckets of unknown indices (ascending); disjoint within a color
-  // by the setup-time verification, so each bucket sweeps in parallel.
-  std::vector<std::vector<std::size_t>> colors;
   // One SELL-packed sweep structure per color bucket (off-diagonals plus
   // per-slot target/invDiag), built at setup so smooth() only dispatches.
+  // No two unknowns of one color couple (checked at setup), so each
+  // bucket sweeps in parallel.
   std::vector<kernel::GsColorPack> colorPacks;
   // Transfer to the next-coarser level (unused on the coarsest). P is
   // stored fine-row CSR, R = scale * P^T coarse-row CSR so restriction is
@@ -232,29 +200,20 @@ int parentsOf(const MeshIndex& coarse, int x, int y,
 }  // namespace
 
 MultigridHierarchy::MultigridHierarchy(const SparseSpd& fineMatrix,
-                                       const GridTopology& topology,
-                                       const MultigridOptions& options)
-    : opt_(options) {
+                                       const GridTopology& topology) {
   if (!fineMatrix.finalized()) {
     throw std::invalid_argument("MultigridHierarchy: matrix not finalized");
   }
-  if (opt_.preSmooth < 0 || opt_.postSmooth < 0 || opt_.maxLevels < 1 ||
-      !(opt_.jacobiWeight > 0.0) || opt_.jacobiWeight > 1.0) {
-    throw std::invalid_argument("MultigridHierarchy: bad options");
-  }
 
-  auto setupSmoother = [&](Level& lvl) {
+  auto setupSmoother = [](Level& lvl) {
     const SparseSpd& a = *lvl.a;
     const std::size_t n = a.size();
-    lvl.invDiag.resize(n);
-    for (std::size_t i = 0; i < n; ++i) lvl.invDiag[i] = 1.0 / a.diagonal(i);
-    lvl.smoother = SmootherKind::WeightedJacobi;
-    lvl.colors.clear();
-    if (opt_.smoother != SmootherKind::RedBlackGaussSeidel) return;
+    std::vector<double> invDiag(n);
+    for (std::size_t i = 0; i < n; ++i) invDiag[i] = 1.0 / a.diagonal(i);
     // Rail-stencil levels are bipartite under node parity; the bilinear
     // (full-lattice) levels get 9-point Galerkin stencils and need the
-    // four-coloring. Verify the chosen coloring against the actual level
-    // operator and fall back to weighted Jacobi if neither decouples it.
+    // four-coloring. Verify the coloring against the actual level
+    // operator: a bucket sweeps in parallel only if it is decoupled.
     const auto& rp = a.rowPtr();
     const auto& cs = a.cols();
     for (const int nColors : {2, 4}) {
@@ -279,20 +238,19 @@ MultigridHierarchy::MultigridHierarchy(const SparseSpd& fineMatrix,
         }
       }
       if (!ok) continue;
-      lvl.colors.assign(static_cast<std::size_t>(nColors), {});
-      for (std::size_t u = 0; u < n; ++u) lvl.colors[color[u]].push_back(u);
-      lvl.smoother = SmootherKind::RedBlackGaussSeidel;
-      break;
-    }
-    if (lvl.smoother == SmootherKind::RedBlackGaussSeidel) {
+      std::vector<std::vector<std::size_t>> buckets(
+          static_cast<std::size_t>(nColors));
+      for (std::size_t u = 0; u < n; ++u) buckets[color[u]].push_back(u);
       const kernel::CsrView view = a.csrView();
-      lvl.colorPacks.clear();
-      lvl.colorPacks.reserve(lvl.colors.size());
-      for (const auto& bucket : lvl.colors) {
+      lvl.colorPacks.reserve(buckets.size());
+      for (const auto& bucket : buckets) {
         lvl.colorPacks.push_back(
-            kernel::GsColorPack::fromBucket(view, bucket, lvl.invDiag));
+            kernel::GsColorPack::fromBucket(view, bucket, invDiag));
       }
+      return;
     }
+    throw std::logic_error(
+        "MultigridHierarchy: no mesh coloring decouples the level operator");
   };
 
   {
@@ -305,9 +263,8 @@ MultigridHierarchy::MultigridHierarchy(const SparseSpd& fineMatrix,
     levels_.push_back(std::move(fine));
   }
 
-  while (static_cast<int>(levels_.size()) < opt_.maxLevels &&
-         levels_.back().topo.canCoarsen() &&
-         levels_.back().index.unknownCount() > opt_.coarseTarget) {
+  while (levels_.size() < kMaxLevels && levels_.back().topo.canCoarsen() &&
+         levels_.back().index.unknownCount() > kCoarseTarget) {
     const GridTopology coarseTopo = levels_.back().topo.coarsened();
     MeshIndex coarseIndex(coarseTopo);
     const std::size_t nc = coarseIndex.unknownCount();
@@ -412,7 +369,7 @@ MultigridHierarchy::MultigridHierarchy(const SparseSpd& fineMatrix,
   }
 
   const std::size_t coarsest = levels_.back().index.unknownCount();
-  if (coarsest <= opt_.denseDirectLimit) {
+  if (coarsest <= kDenseDirectLimit) {
     auto factor = std::make_unique<DenseCholesky>();
     if (factor->factor(*levels_.back().a)) coarseFactor_ = std::move(factor);
   }
@@ -431,10 +388,6 @@ std::size_t MultigridHierarchy::levelUnknowns(int level) const {
 
 const GridTopology& MultigridHierarchy::levelTopology(int level) const {
   return levels_.at(static_cast<std::size_t>(level)).topo;
-}
-
-SmootherKind MultigridHierarchy::levelSmoother(int level) const {
-  return levels_.at(static_cast<std::size_t>(level)).smoother;
 }
 
 double MultigridHierarchy::restrictionScale(int level) const {
@@ -522,52 +475,29 @@ void MultigridHierarchy::applyProlongation(int level,
 }
 
 void MultigridHierarchy::smooth(const Level& lvl, const std::vector<double>& b,
-                                std::vector<double>& x, int sweeps,
-                                bool reversed) const {
+                                std::vector<double>& x, bool reversed) const {
   NANO_OBS_TIMER("powergrid/mg_smooth");
-  const SparseSpd& a = *lvl.a;
-  const std::size_t n = a.size();
-  if (lvl.smoother == SmootherKind::RedBlackGaussSeidel) {
-    auto sweepBucket = [&](const kernel::GsColorPack& pack) {
-      const kernel::GsFn fn = kernel::gsFamily().pick();
-      auto body = [&](std::size_t lo, std::size_t hi) {
-        fn(pack, b.data(), x.data(), lo, hi);
-      };
-      // Safe and deterministic: no two nodes of one color couple (checked
-      // at setup), so the bucket's writes touch values no other lane
-      // reads, and every variant computes each slot's update whole.
-      if (pack.count >= kParallelSmoothRows && exec::threadCount() > 1) {
-        exec::parallelForBlocked(pack.count, body, 2048);
-      } else {
-        body(0, pack.count);
-      }
+  auto sweepBucket = [&](const kernel::GsColorPack& pack) {
+    const kernel::GsFn fn = kernel::gsFamily().pick();
+    auto body = [&](std::size_t lo, std::size_t hi) {
+      fn(pack, b.data(), x.data(), lo, hi);
     };
-    for (int s = 0; s < sweeps; ++s) {
-      if (!reversed) {
-        for (const auto& pack : lvl.colorPacks) sweepBucket(pack);
-      } else {
-        // The reversed color order makes pre+post smoothing adjoint pairs,
-        // keeping the V-cycle symmetric (required for CG).
-        for (auto it = lvl.colorPacks.rbegin(); it != lvl.colorPacks.rend();
-             ++it) {
-          sweepBucket(*it);
-        }
-      }
+    // Safe and deterministic: no two nodes of one color couple (checked
+    // at setup), so the bucket's writes touch values no other lane
+    // reads, and every variant computes each slot's update whole.
+    if (pack.count >= kParallelSmoothRows && exec::threadCount() > 1) {
+      exec::parallelForBlocked(pack.count, body, 2048);
+    } else {
+      body(0, pack.count);
     }
+  };
+  if (!reversed) {
+    for (const auto& pack : lvl.colorPacks) sweepBucket(pack);
   } else {
-    std::vector<double> t(n);
-    for (int s = 0; s < sweeps; ++s) {
-      a.multiply(x, t);
-      const kernel::JacobiFn fn = kernel::jacobiFamily().pick();
-      auto body = [&](std::size_t lo, std::size_t hi) {
-        fn(opt_.jacobiWeight, lvl.invDiag.data(), b.data(), t.data(),
-           x.data(), lo, hi);
-      };
-      if (n >= kParallelSmoothRows && exec::threadCount() > 1) {
-        exec::parallelForBlocked(n, body, 2048);
-      } else {
-        body(0, n);
-      }
+    // The reversed color order makes pre+post smoothing adjoint pairs,
+    // keeping the V-cycle symmetric (required for CG).
+    for (auto it = lvl.colorPacks.rbegin(); it != lvl.colorPacks.rend(); ++it) {
+      sweepBucket(*it);
     }
   }
 }
@@ -577,9 +507,13 @@ void MultigridHierarchy::coarseSolve(const std::vector<double>& b,
   NANO_OBS_TIMER("powergrid/mg_coarse_solve");
   if (coarseFactor_) {
     coarseFactor_->solve(b, x);
-  } else {
-    fallbackCoarseCg(*levels_.back().a, b, x);
+    return;
   }
+  // Uninstrumented, so inner solves never count in powergrid/cg_*.
+  const SparseSpd& a = *levels_.back().a;
+  CgResult inner = solveCgUninstrumented(a, b, JacobiPreconditioner(a), 1e-10,
+                                         static_cast<int>(4 * a.size()) + 100);
+  x = std::move(inner.x);
 }
 
 void MultigridHierarchy::apply(const std::vector<double>& r,
@@ -602,7 +536,7 @@ void MultigridHierarchy::apply(const std::vector<double>& r,
     const Level& lvl = levels_[l];
     const std::size_t n = lvl.index.unknownCount();
     x[l].assign(n, 0.0);
-    smooth(lvl, b[l], x[l], opt_.preSmooth, false);
+    smooth(lvl, b[l], x[l], false);
     t.resize(n);
     lvl.a->multiply(x[l], t);
     for (std::size_t i = 0; i < n; ++i) t[i] = b[l][i] - t[i];
@@ -619,7 +553,7 @@ void MultigridHierarchy::apply(const std::vector<double>& r,
   for (std::size_t l = levelN - 1; l-- > 0;) {
     const Level& lvl = levels_[l];
     prolongAddInto(lvl.pRowPtr, lvl.pCol, lvl.pVal, x[l + 1], x[l]);
-    smooth(lvl, b[l], x[l], opt_.postSmooth, true);
+    smooth(lvl, b[l], x[l], true);
   }
   z = std::move(x[0]);
   NANO_OBS_COUNT("powergrid/mg_vcycles", 1);

@@ -2,14 +2,17 @@
 // coarsening the rail lattice (halving the rail subdivision first, then the
 // rail count), linear prolongation along rails / bilinear prolongation on
 // the full lattice, full-weighting restriction R = c * P^T, and Galerkin
-// coarse operators A_c = R A P. The V-cycle is symmetric (forward pre-
-// smoothing, reversed post-smoothing), so it is a valid SPD preconditioner
-// for the CG solver in powergrid/solver.h.
+// coarse operators A_c = R A P. The V-cycle is fixed and symmetric: one
+// red-black (rail levels) or four-colour (bilinear levels) Gauss-Seidel
+// sweep before the coarse correction and one in reversed colour order
+// after it, so it is a valid SPD preconditioner for the CG solver in
+// powergrid/solver.h. Coarsening stops at 512 unknowns or 16 levels; a
+// coarsest level of up to 1,024 unknowns is solved by dense Cholesky, a
+// larger one by an inner Jacobi-CG.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "powergrid/solver.h"
@@ -65,25 +68,6 @@ class MeshIndex {
   std::vector<long> bumpRowCol_;       // column offsets in a bump row (-1: bump)
 };
 
-enum class SmootherKind { WeightedJacobi, RedBlackGaussSeidel };
-
-struct MultigridOptions {
-  SmootherKind smoother = SmootherKind::RedBlackGaussSeidel;
-  int preSmooth = 1;
-  int postSmooth = 1;
-  /// Damping for the WeightedJacobi smoother (2/3..0.9 is the usual band).
-  double jacobiWeight = 0.8;
-  /// Stop coarsening once a level has at most this many unknowns.
-  std::size_t coarseTarget = 512;
-  /// Coarsest-level systems up to this size are solved by a dense Cholesky
-  /// factorization built at setup; larger ones fall back to an inner CG.
-  std::size_t denseDirectLimit = 1024;
-  int maxLevels = 16;
-
-  friend bool operator==(const MultigridOptions&,
-                         const MultigridOptions&) = default;
-};
-
 /// Level hierarchy + V-cycle. Holds a reference to the fine matrix (the
 /// hierarchy must not outlive it). apply() keeps all scratch state on the
 /// stack of the call, so concurrent applies from parallel sweeps are safe
@@ -92,9 +76,10 @@ class MultigridHierarchy final : public Preconditioner {
  public:
   /// Build from the finalized fine-level matrix and its topology. The
   /// matrix must be the one assembled by GridModel for `topology` (same
-  /// unknown enumeration); any uniform conductance scale is fine.
-  MultigridHierarchy(const SparseSpd& fineMatrix, const GridTopology& topology,
-                     const MultigridOptions& options = {});
+  /// unknown enumeration); any uniform conductance scale is fine. Throws
+  /// std::logic_error when neither the two- nor the four-colouring of a
+  /// level decouples its operator (the colour sweeps would then race).
+  MultigridHierarchy(const SparseSpd& fineMatrix, const GridTopology& topology);
   ~MultigridHierarchy() override;
 
   MultigridHierarchy(const MultigridHierarchy&) = delete;
@@ -108,9 +93,6 @@ class MultigridHierarchy final : public Preconditioner {
   [[nodiscard]] int levelCount() const;
   [[nodiscard]] std::size_t levelUnknowns(int level) const;
   [[nodiscard]] const GridTopology& levelTopology(int level) const;
-  /// Smoother actually used at `level` (red-black requests degrade to
-  /// weighted Jacobi when the level operator defeats the mesh coloring).
-  [[nodiscard]] SmootherKind levelSmoother(int level) const;
 
   /// The constant c in R = c * P^T between `level` (fine) and `level + 1`
   /// (coarse): 0.5 for rail-subdivision coarsening, 0.25 for bilinear.
@@ -127,10 +109,9 @@ class MultigridHierarchy final : public Preconditioner {
   struct DenseCholesky;
 
   void smooth(const Level& level, const std::vector<double>& b,
-              std::vector<double>& x, int sweeps, bool reversed) const;
+              std::vector<double>& x, bool reversed) const;
   void coarseSolve(const std::vector<double>& b, std::vector<double>& x) const;
 
-  MultigridOptions opt_;
   std::vector<Level> levels_;
   std::unique_ptr<DenseCholesky> coarseFactor_;  // null: inner-CG fallback
 };

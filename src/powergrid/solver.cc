@@ -163,10 +163,25 @@ CgResult solveCg(const SparseSpd& a, const std::vector<double>& b,
 CgResult solveCg(const SparseSpd& a, const std::vector<double>& b,
                  const Preconditioner& preconditioner, double relTolerance,
                  int maxIterations) {
+  NANO_OBS_SPAN("powergrid/cg_solve");
+  CgResult res =
+      solveCgUninstrumented(a, b, preconditioner, relTolerance, maxIterations);
+  NANO_OBS_COUNT("powergrid/cg_solves", 1);
+  NANO_OBS_COUNT("powergrid/cg_iterations", res.iterations);
+  NANO_OBS_GAUGE("powergrid/cg_residual", res.residualNorm);
+  if (!res.converged) NANO_OBS_COUNT("powergrid/cg_nonconverged", 1);
+  if (res.status == util::SolverStatus::NanDetected) {
+    NANO_OBS_COUNT("powergrid/cg_nan_detected", 1);
+  }
+  return res;
+}
+
+CgResult solveCgUninstrumented(const SparseSpd& a, const std::vector<double>& b,
+                               const Preconditioner& preconditioner,
+                               double relTolerance, int maxIterations) {
   if (!a.finalized()) throw std::logic_error("solveCg: matrix not finalized");
   const std::size_t n = a.size();
   if (b.size() != n) throw std::invalid_argument("solveCg: size mismatch");
-  NANO_OBS_SPAN("powergrid/cg_solve");
 
   CgResult res;
   res.x.assign(n, 0.0);
@@ -231,14 +246,6 @@ CgResult solveCg(const SparseSpd& a, const std::vector<double>& b,
       rz = rzNew;
       for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
     }
-  }
-
-  NANO_OBS_COUNT("powergrid/cg_solves", 1);
-  NANO_OBS_COUNT("powergrid/cg_iterations", res.iterations);
-  NANO_OBS_GAUGE("powergrid/cg_residual", res.residualNorm);
-  if (!res.converged) NANO_OBS_COUNT("powergrid/cg_nonconverged", 1);
-  if (res.status == util::SolverStatus::NanDetected) {
-    NANO_OBS_COUNT("powergrid/cg_nan_detected", 1);
   }
   return res;
 }

@@ -82,7 +82,7 @@ TEST(KernelFamily, PickBumpsFamilyAndVariantCounters) {
   });
 }
 
-/// The three production families: each must hand out its AVX2 variant
+/// The two production families: each must hand out its AVX2 variant
 /// exactly when the active ISA is AVX2, and count the pick under the
 /// family and variant names the metrics have always used.
 template <typename Fn>
@@ -116,7 +116,6 @@ void expectIsaPick(const KernelFamily<Fn>& family, const std::string& name,
 TEST(KernelFamily, ProductionFamiliesPickAvx2ExactlyUnderAvx2) {
   expectIsaPick(spmvFamily(), "spmv", "spmv_csr_scalar", "spmv_sell_avx2");
   expectIsaPick(gsFamily(), "gs", "gs_sell_scalar", "gs_sell_avx2");
-  expectIsaPick(jacobiFamily(), "jacobi", "jacobi_scalar", "jacobi_avx2");
 }
 
 TEST(KernelFamily, PublishActiveIsaSetsTheGauge) {

@@ -1,5 +1,5 @@
-// SELL-4 repacking and the sparse kernel families: the AVX2 SpMV,
-// Gauss-Seidel and Jacobi variants must be bit-identical to the scalar CSR
+// SELL-4 repacking and the sparse kernel families: the AVX2 SpMV and
+// Gauss-Seidel variants must be bit-identical to the scalar CSR
 // references for any matrix shape, any row blocking, and any slice
 // remainder, because the multigrid smoother's convergence history is part
 // of the repo's byte-reproducibility contract.
@@ -136,30 +136,6 @@ TEST(SellGs, Avx2SweepMatchesScalarForAnyBucketAndBlocking) {
       }
       EXPECT_EQ(x, ref) << "n=" << n << " block=" << block;
     }
-  }
-}
-
-TEST(SellJacobi, Avx2MatchesScalar) {
-  util::Rng rng(91);
-  IsaGuard guard;
-  for (const std::size_t n : {1u, 4u, 11u, 130u}) {
-    const std::vector<double> invDiag = randomVector(n, rng);
-    const std::vector<double> b = randomVector(n, rng);
-    const std::vector<double> t = randomVector(n, rng);
-    const std::vector<double> x0 = randomVector(n, rng);
-    const double w = 0.8;
-
-    setActiveIsa(Isa::Scalar);
-    std::vector<double> ref = x0;
-    jacobiFamily().pick()(w, invDiag.data(), b.data(), t.data(), ref.data(),
-                          0, n);
-
-    if (setActiveIsa(Isa::Avx2) != Isa::Avx2) continue;
-    EXPECT_EQ(jacobiFamily().pickedName(), "jacobi_avx2");
-    std::vector<double> x = x0;
-    jacobiFamily().pick()(w, invDiag.data(), b.data(), t.data(), x.data(), 0,
-                          n);
-    EXPECT_EQ(x, ref);
   }
 }
 

@@ -27,7 +27,7 @@ TEST(RequiredLinewidth, DropEqualsBudgetAtSolvedWidth) {
   const double sheet = node.metalResistivity / node.globalWireThickness();
   const double drop =
       railMaxDrop(rep.requiredWidth, rep.railPitch, rep.railPitch, sheet,
-                  node.powerDensity(), opt.hotspotFactor, node.vdd);
+                  node.powerDensity(), kHotspotFactor, node.vdd);
   EXPECT_NEAR(drop, opt.budgetFraction * node.vdd, 1e-9);
 }
 
