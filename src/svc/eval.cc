@@ -1,6 +1,7 @@
 #include "svc/eval.h"
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/generator.h"
@@ -231,6 +232,13 @@ JsonValue evalGridSolve(const GridSolveParams& p) {
     options.preconditioner = powergrid::PreconditionerKind::Multigrid;
   }
   const powergrid::GridSolution sol = powergrid::solveGrid(config, options);
+  // A poisoned solve leaves dropV all zeros: answering it ok would
+  // report a 0 V drop.
+  if (sol.cgDiagnostics.status == util::SolverStatus::NanDetected) {
+    throw std::runtime_error(
+        std::string("grid_solve: the mesh solve failed with solver_status ") +
+        util::solverStatusName(sol.cgDiagnostics.status));
+  }
   JsonValue data = JsonValue::object();
   data.set("node_nm", p.nodeNm);
   data.set("unknowns", static_cast<double>(sol.unknowns));

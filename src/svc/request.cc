@@ -346,6 +346,9 @@ void validateParams(const GridSolveParams& p) {
       p.preconditioner != "multigrid") {
     rejectParam("\"preconditioner\" must be one of auto/jacobi/multigrid");
   }
+  // 0 selects the node's minimum bump pitch; a negative pitch means
+  // nothing.
+  if (p.padPitchUm < 0.0) rejectParam("\"pad_pitch_um\" must be >= 0");
   // The fine mesh grows with the square of subdivisions; 1024 peaks at
   // about 80 MB.
   requireRange("subdivisions", p.subdivisions, 2, 1024);

@@ -435,6 +435,55 @@ TEST(RunServer, DeterministicErrorsAreStructuredNotFatal) {
   EXPECT_NE(lines[1].find(R"("status":"ok")"), std::string::npos);
 }
 
+TEST(RunServer, GridSolveThatDetectsNanAnswersErrorNamingTheStatus) {
+  // A 1e300 um pad pitch overflows the load vector: the solve stops with
+  // status nan-detected, and its all-zero drop must not be answered ok.
+  std::istringstream in(
+      R"({"id":"nan","kind":"grid_solve","params":{"pad_pitch_um":1e300}})"
+      "\n"
+      R"({"id":"after","kind":"wire"})"
+      "\n");
+  std::ostringstream out;
+  Service service(replayOptions());
+  const ServerStats stats = runServer(in, out, service);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  const std::vector<std::string> lines = splitLines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find(R"("status":"error")"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("nan-detected"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find(R"("status":"ok")"), std::string::npos);
+}
+
+TEST(RunServer, NegativePadPitchIsInvalidAndZeroKeepsTheNodeMinimum) {
+  // 0 selects the node's minimum bump pitch, exactly as leaving the field
+  // out does; a negative pitch used to mean the same and is now invalid.
+  std::istringstream in(
+      R"({"id":"neg","kind":"grid_solve","params":{"pad_pitch_um":-1}})"
+      "\n"
+      R"({"id":"zero","kind":"grid_solve","params":{"pad_pitch_um":0}})"
+      "\n"
+      R"({"id":"unset","kind":"grid_solve"})"
+      "\n");
+  std::ostringstream out;
+  Service service(replayOptions());
+  const ServerStats stats = runServer(in, out, service);
+  EXPECT_EQ(stats.invalid, 1u);
+  EXPECT_EQ(stats.ok, 2u);
+  const std::vector<std::string> lines = splitLines(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find(R"("status":"invalid")"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("pad_pitch_um"), std::string::npos) << lines[0];
+  const std::string zeroId = R"({"id":"zero")";
+  const std::string unsetId = R"({"id":"unset")";
+  ASSERT_EQ(lines[1].rfind(zeroId, 0), 0u) << lines[1];
+  ASSERT_EQ(lines[2].rfind(unsetId, 0), 0u) << lines[2];
+  EXPECT_NE(lines[1].find(R"("status":"ok")"), std::string::npos);
+  EXPECT_EQ(lines[1].substr(zeroId.size()), lines[2].substr(unsetId.size()));
+}
+
 TEST(RunServer, TinyEmitQueueLimitBlocksTheReaderButLosesNothing) {
   // The emit bound used to be a hardcoded 8192 inside the server loop;
   // now it is ServerOptions::emitQueueLimit. At the smallest useful limit
