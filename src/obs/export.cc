@@ -22,10 +22,7 @@ std::string fmtSeconds(double s, std::int64_t count) {
 }  // namespace
 
 void printRunReport(std::ostream& os) {
-  printRunReport(os, MetricsRegistry::instance());
-}
-
-void printRunReport(std::ostream& os, const MetricsRegistry& registry) {
+  const MetricsRegistry& registry = MetricsRegistry::instance();
   const auto spans = registry.spans();
   const auto timers = registry.timers();
   const auto counters = registry.counters();

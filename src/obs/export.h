@@ -9,12 +9,9 @@
 
 namespace nano::obs {
 
-class MetricsRegistry;
-
-/// Human-readable run report: span tree (indented by nesting), timers,
-/// counters, gauges. Prints a hint instead when observability is disabled
-/// and nothing was recorded.
+/// Human-readable run report of the process registry: span tree (indented
+/// by nesting), timers, counters, gauges. Prints a hint instead when
+/// observability is disabled and nothing was recorded.
 void printRunReport(std::ostream& os);
-void printRunReport(std::ostream& os, const MetricsRegistry& registry);
 
 }  // namespace nano::obs

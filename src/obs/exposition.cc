@@ -71,10 +71,7 @@ std::string prometheusName(std::string_view name) {
 }
 
 void exportPrometheus(std::ostream& os) {
-  exportPrometheus(os, MetricsRegistry::instance());
-}
-
-void exportPrometheus(std::ostream& os, const MetricsRegistry& registry) {
+  const MetricsRegistry& registry = MetricsRegistry::instance();
   for (const auto& row : registry.counters()) {
     const std::string base = prometheusName(row.name) + "_total";
     os << "# TYPE " << base << " counter\n";
@@ -94,11 +91,7 @@ void exportPrometheus(std::ostream& os, const MetricsRegistry& registry) {
 }
 
 void exportStatsJson(std::ostream& os, bool delta) {
-  exportStatsJson(os, MetricsRegistry::instance(), delta);
-}
-
-void exportStatsJson(std::ostream& os, const MetricsRegistry& registry,
-                     bool delta) {
+  const MetricsRegistry& registry = MetricsRegistry::instance();
   os << "{\"delta\":" << (delta ? "true" : "false") << ",\"counters\":{";
   {
     const std::lock_guard<std::mutex> lock(baselineMutex);
@@ -145,13 +138,13 @@ void exportStatsJson(std::ostream& os, const MetricsRegistry& registry,
   os << "}}";
 }
 
-void resetStatsBaseline() { resetStatsBaseline(MetricsRegistry::instance()); }
-
-void resetStatsBaseline(const MetricsRegistry& registry) {
+void resetStatsBaseline() {
   const std::lock_guard<std::mutex> lock(baselineMutex);
   auto& baseline = baselineCounters();
   baseline.clear();
-  for (const auto& row : registry.counters()) baseline[row.name] = row.value;
+  for (const auto& row : MetricsRegistry::instance().counters()) {
+    baseline[row.name] = row.value;
+  }
 }
 
 }  // namespace nano::obs

@@ -10,29 +10,23 @@
 
 namespace nano::obs {
 
-class MetricsRegistry;
-
 /// Registry name -> Prometheus metric name: prefixed with "nano_", every
 /// character outside [a-zA-Z0-9_] replaced by '_' (so "svc/phase/eval"
 /// becomes "nano_svc_phase_eval").
 [[nodiscard]] std::string prometheusName(std::string_view name);
 
-/// Prometheus text exposition format 0.0.4. Counters gain the "_total"
-/// suffix; timers and spans are rendered as summaries with
-/// quantile 0.5/0.9/0.99/0.999 plus _sum and _count series.
+/// The process registry in Prometheus text exposition format 0.0.4.
+/// Counters gain the "_total" suffix; timers and spans are rendered as
+/// summaries with quantile 0.5/0.9/0.99/0.999 plus _sum and _count series.
 void exportPrometheus(std::ostream& os);
-void exportPrometheus(std::ostream& os, const MetricsRegistry& registry);
 
-/// One-line JSON stats snapshot:
+/// One-line JSON stats snapshot of the process registry:
 /// {"delta":…,"counters":{…},"gauges":{…},"timers":{…},"spans":{…}}.
 /// With delta=true, counters report the increase since the previous
 /// baseline and the baseline advances to the current values.
 void exportStatsJson(std::ostream& os, bool delta);
-void exportStatsJson(std::ostream& os, const MetricsRegistry& registry,
-                     bool delta);
 
 /// Reset the delta baseline to the registry's current counter values.
 void resetStatsBaseline();
-void resetStatsBaseline(const MetricsRegistry& registry);
 
 }  // namespace nano::obs
