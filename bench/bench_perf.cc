@@ -8,6 +8,7 @@
 #include "circuit/generator.h"
 #include "circuit/netlist_soa.h"
 #include "core/design_space.h"
+#include "core/experiments.h"
 #include "device/mosfet.h"
 #include "exec/exec.h"
 #include "kernel/dispatch.h"
@@ -202,6 +203,47 @@ BENCHMARK(BM_Sweep)
     ->Arg(30)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// The engines of the design-space requests at node 70, one call each, as
+// a cold svc request runs them: the iso-delay optimum over 60 Vdd
+// samples, Figures 3-4 at 5 and 15 points (items = points), and one
+// operating point. Every call starts from the node's sweep reference.
+core::DesignSpaceOptions node70() {
+  core::DesignSpaceOptions options;
+  options.nodeNm = 70;
+  return options;
+}
+
+void BM_DesignOptimum(benchmark::State& state) {
+  const core::DesignSpaceOptions options = node70();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::optimalPoint(options, 1.5));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DesignOptimum)->Unit(benchmark::kMicrosecond);
+
+void BM_Figure34(benchmark::State& state) {
+  const int points = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::computeFigure34(70, points));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Figure34)
+    ->Arg(5)
+    ->Arg(15)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+void BM_DesignPoint(benchmark::State& state) {
+  const core::DesignSpaceOptions options = node70();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::evaluatePoint(options, 0.6, 0.2));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DesignPoint);
 
 // Power-grid solve at paper scale: subdivisions 8/32/128 on a 10x10-tile
 // waffle span ~25k to ~413k unknowns. The second argument selects the CG

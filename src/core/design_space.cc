@@ -1,6 +1,7 @@
 #include "core/design_space.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -11,8 +12,10 @@
 
 namespace nano::core {
 
-SweepReference makeSweepReference(int nodeNm, double activity) {
-  const tech::TechNode& node = tech::nodeByFeature(nodeNm);
+namespace {
+
+/// Everything of `node`'s reference but `activity` and `pdyn0`.
+SweepReference nodeReference(const tech::TechNode& node) {
   const double vth0 = device::solveVthForIon(node, node.ionTarget);
   // Vth is specified at nominal Vdd; DIBL applies below it.
   SweepReference ref{device::Mosfet::fromNode(node, vth0, node.vdd)};
@@ -24,11 +27,29 @@ SweepReference makeSweepReference(int nodeNm, double activity) {
                 inv.outputCap();
   ref.widthEff = 0.5 * (inv.wn() + device::kPmosCurrentFactor * inv.wp());
   ref.freq = node.clockLocal;
-  ref.activity = activity;
   ref.delay0 = ref.delay(ref.vdd0, ref.vth0);
-  ref.pdyn0 = ref.pdyn(ref.vdd0);
   ref.ioff0 = ref.device.ioff(ref.vdd0);
   ref.pstat0 = ref.pstat(ref.vdd0, ref.vth0);
+  return ref;
+}
+
+}  // namespace
+
+SweepReference makeSweepReference(int nodeNm, double activity) {
+  const tech::TechNode& node = tech::nodeByFeature(nodeNm);
+  // One entry per roadmap node, in roadmap order, built on first use and
+  // never written after, so concurrent lanes read it without a lock.
+  static const std::vector<SweepReference> kByNode = [] {
+    std::vector<SweepReference> refs;
+    for (const tech::TechNode& n : tech::roadmap()) {
+      refs.push_back(nodeReference(n));
+    }
+    return refs;
+  }();
+  SweepReference ref =
+      kByNode[static_cast<std::size_t>(&node - tech::roadmap().data())];
+  ref.activity = activity;
+  ref.pdyn0 = ref.pdyn(ref.vdd0);
   return ref;
 }
 
@@ -120,7 +141,7 @@ OperatingPoint optimalPoint(const DesignSpaceOptions& options,
     double vth = options.vthMax;
     if (delayErr(options.vthMax) > 0.0) {
       // Per-point recovery: a failed solve marks this Vdd infeasible
-      // instead of throwing out of the parallel sweep.
+      // instead of throwing out of the scan.
       const util::SolveResult r = util::tryBracketAndSolve(
           delayErr, options.vthMin, options.vthMax, 0, 1e-9);
       if (r.status == util::SolverStatus::BracketFailure ||
@@ -138,18 +159,26 @@ OperatingPoint optimalPoint(const DesignSpaceOptions& options,
     return candidate;
   };
 
-  // Evaluate each Vdd in parallel, then reduce serially with the same
-  // strict < as before: the first minimum in sweep order wins regardless
-  // of thread count.
-  const std::vector<double> vdds =
-      util::linspace(options.vddMin, ref.vdd0, 4 * options.vddSteps);
-  const std::vector<OperatingPoint> pts = exec::parallelMap<OperatingPoint>(
-      vdds.size(), [&](std::size_t i) { return bestAtVdd(vdds[i]); });
+  // Scan the supplies in ascending order, keeping the first minimum under
+  // a strict <. At vdd > 0 a sample's total is (pdyn + pstat) / norm with
+  // pstat = vdd * Ioff * Weff >= 0, and IEEE addition and division by a
+  // positive norm are monotone, so it never falls below pdyn / norm. Once
+  // that bound reaches the best total, the sample cannot win, and its Vth
+  // solve is skipped.
+  const double norm = ref.pdyn0 + ref.pstat0;
   OperatingPoint best;
   best.ptotalNorm = std::numeric_limits<double>::infinity();
-  for (const OperatingPoint& pt : pts) {
+  std::int64_t solved = 0;
+  for (const double vdd :
+       util::linspace(options.vddMin, ref.vdd0, 4 * options.vddSteps)) {
+    if (vdd > 0 && norm > 0 && ref.pdyn(vdd) / norm >= best.ptotalNorm) {
+      continue;
+    }
+    ++solved;
+    const OperatingPoint pt = bestAtVdd(vdd);
     if (pt.ptotalNorm < best.ptotalNorm) best = pt;
   }
+  NANO_OBS_COUNT("core/optimum_samples_solved", solved);
   if (!std::isfinite(best.ptotalNorm)) {
     throw std::runtime_error("optimalPoint: delay target infeasible");
   }

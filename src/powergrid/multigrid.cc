@@ -101,7 +101,8 @@ struct MultigridHierarchy::Level {
   std::unique_ptr<SparseSpd> owned;  // null at level 0 (caller's matrix)
   const SparseSpd* a = nullptr;
   // One SELL-packed sweep structure per color bucket (off-diagonals plus
-  // per-slot target/invDiag), built at setup so smooth() only dispatches.
+  // per-slot target/invDiag), built at setup so smooth() only dispatches;
+  // empty on the coarsest level, which is never smoothed.
   // No two unknowns of one color couple (checked at setup), so each
   // bucket sweeps in parallel.
   std::vector<kernel::GsColorPack> colorPacks;
@@ -362,8 +363,10 @@ MultigridHierarchy::MultigridHierarchy(const SparseSpd& fineMatrix,
     levels_.push_back(std::move(coarse));
   }
 
+  // apply() smooths every level but the coarsest, which coarseSolve()
+  // solves directly, so only those levels get a colouring and its packs.
   for (std::size_t l = 0; l < levels_.size(); ++l) {
-    setupSmoother(levels_[l]);
+    if (l + 1 < levels_.size()) setupSmoother(levels_[l]);
     levels_[l].residualGauge =
         "powergrid/mg_l" + std::to_string(l) + "_residual";
   }

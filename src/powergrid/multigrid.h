@@ -78,7 +78,8 @@ class MultigridHierarchy final : public Preconditioner {
   /// matrix must be the one assembled by GridModel for `topology` (same
   /// unknown enumeration); any uniform conductance scale is fine. Throws
   /// std::logic_error when neither the two- nor the four-colouring of a
-  /// level decouples its operator (the colour sweeps would then race).
+  /// smoothed level (any but the coarsest) decouples its operator (the
+  /// colour sweeps would then race).
   MultigridHierarchy(const SparseSpd& fineMatrix, const GridTopology& topology);
   ~MultigridHierarchy() override;
 

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "svc/json.h"
+#include "tech/itrs.h"
+#include "util/units.h"
 
 namespace nano::svc {
 
@@ -322,6 +324,33 @@ void requireRange(const char* name, int value, int lo, int hi) {
   }
 }
 
+// The physical ranges of the design-space inputs. Outside them the model
+// answers nonsense, such as an optimum at a negative supply, or, near
+// 1e300, null fields. Params are finite here: the reader rejects +-inf.
+void requireSupply(const char* name, double volts) {
+  if (!(volts > 0.0 && volts <= 5.0)) {
+    rejectParam("\"" + std::string(name) + "\" must be in (0, 5] V");
+  }
+}
+
+void requireThreshold(const char* name, double volts) {
+  if (!(volts >= -0.5 && volts <= 1.0)) {
+    rejectParam("\"" + std::string(name) + "\" must be in [-0.5, 1] V");
+  }
+}
+
+void requireActivity(double activity) {
+  if (!(activity >= 0.0 && activity <= 1.0)) {
+    rejectParam("\"activity\" must be in [0, 1]");
+  }
+}
+
+// A top-level wire wider than 100x the minimum is past any routing layer,
+// and near 1e300 the repeater sizes overflow to null.
+void requireWidthMultiple(double widthMultiple) {
+  if (widthMultiple > 100.0) rejectParam("\"width_multiple\" must be <= 100");
+}
+
 template <class P> void validateParams(const P&) {}
 
 // Sweep sizes: the figure sweeps cost ~40 us a point, and a design grid
@@ -332,14 +361,34 @@ void validateParams(const Fig1Params& p) {
 
 void validateParams(const Fig34Params& p) {
   requireRange("points", p.points, 2, 10000);
+  requireActivity(p.activity);
+  requireSupply("vdd_min", p.vddMin);
+}
+
+void validateParams(const DesignPointParams& p) {
+  requireActivity(p.activity);
+  requireSupply("vdd", p.vdd);
+  requireThreshold("vth", p.vth);
 }
 
 void validateParams(const DesignGridParams& p) {
   requireRange("vdd_steps", p.vddSteps, 2, 256);
   requireRange("vth_steps", p.vthSteps, 2, 256);
+  requireActivity(p.activity);
+  requireSupply("vdd_min", p.vddMin);
+  requireThreshold("vth_min", p.vthMin);
+  requireThreshold("vth_max", p.vthMax);
 }
 
 void validateParams(const DesignOptimumParams& p) { validateParams(p.grid); }
+
+void validateParams(const RepeaterParams& p) {
+  requireWidthMultiple(p.widthMultiple);
+}
+
+void validateParams(const WireParams& p) {
+  requireWidthMultiple(p.widthMultiple);
+}
 
 void validateParams(const GridSolveParams& p) {
   if (p.preconditioner != "auto" && p.preconditioner != "jacobi" &&
@@ -352,6 +401,21 @@ void validateParams(const GridSolveParams& p) {
   // The fine mesh grows with the square of subdivisions; 1024 peaks at
   // about 80 MB.
   requireRange("subdivisions", p.subdivisions, 2, 1024);
+  requireWidthMultiple(p.widthMultiple);
+  // A bump pitch past the die edge puts no bump on the die, and the drop
+  // it reports grows without bound (1e10 um reads 7e22 V). An off-roadmap
+  // node is left to evaluation, which answers it an error.
+  for (const tech::TechNode& node : tech::roadmap()) {
+    if (node.featureNm != p.nodeNm) continue;
+    const double dieEdge = std::sqrt(node.dieArea);
+    if (p.padPitchUm * units::um > dieEdge) {
+      std::string message =
+          "\"pad_pitch_um\" must not exceed the die edge, ";
+      appendJsonDouble(message, dieEdge / units::um);
+      message += " um at this node";
+      rejectParam(message);
+    }
+  }
 }
 
 void validateParams(const StaParams& p) {

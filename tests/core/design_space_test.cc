@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "device/mosfet.h"
+#include "obs/obs.h"
 
 namespace nano::core {
 namespace {
@@ -133,6 +136,24 @@ TEST(DesignSpace, EnergyOptimumBalancesStaticAndDynamic) {
   const OperatingPoint pt = optimalPoint(o, 2.5);
   EXPECT_GT(pt.staticFraction, 0.02);
   EXPECT_LT(pt.staticFraction, 0.6);
+}
+
+TEST(DesignSpace, DefaultOptimumSolvesFewOfItsSixtySamples) {
+  // The dynamic-power bound skips every Vdd sample that cannot beat the
+  // best total found so far; without it all 4 x 15 samples are solved.
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  const obs::Counter& solved = obs::MetricsRegistry::instance().counter(
+      "core/optimum_samples_solved");
+  const DesignSpaceOptions o;
+  for (const double target : {1.0, 1.5}) {
+    const std::int64_t before = solved.value();
+    (void)optimalPoint(o, target);
+    const std::int64_t n = solved.value() - before;
+    EXPECT_GT(n, 0) << target;
+    EXPECT_LT(n, 10) << target;
+  }
+  obs::setEnabled(wasEnabled);
 }
 
 TEST(DesignSpace, Rejections) {

@@ -153,9 +153,12 @@ TEST(MultigridHierarchy, RestrictionIsScaledProlongationTranspose) {
 TEST(MultigridHierarchy, RejectsAnOperatorThatDefeatsTheColoring) {
   // The unit Laplacian plus a coupling between unknowns 0 and 2 of the
   // first row (x = 1 and x = 3): one color under both the parity and the
-  // four-coloring, so no color bucket could sweep in parallel.
-  const auto model = GridModel::forConfig(mediumConfig(8));
+  // four-coloring, so no color bucket could sweep in parallel. The mesh
+  // has several levels, so the fine level is one the V-cycle smooths (the
+  // coarsest is solved directly and never colored).
+  const auto model = GridModel::forConfig(deepConfig());
   const SparseSpd& lap = model->unitLaplacian();
+  ASSERT_GE(MultigridHierarchy(lap, model->topology()).levelCount(), 2);
   ASSERT_EQ(model->index().unknownAt(1, 0), 0);
   ASSERT_EQ(model->index().unknownAt(3, 0), 2);
   SparseSpd coupled(lap.size());
@@ -181,11 +184,11 @@ TEST(MultigridHierarchy, RejectsAnOperatorThatDefeatsTheColoring) {
         << e.what();
   }
 
-  // The meshes' own operators color cleanly on every level: parity on the
-  // rail levels, four colors on the bilinear Galerkin level.
-  EXPECT_NO_THROW(MultigridHierarchy(lap, model->topology()));
-  const auto deep = GridModel::forConfig(deepConfig());
-  EXPECT_NO_THROW(MultigridHierarchy(deep->unitLaplacian(), deep->topology()));
+  // The meshes' own operators color cleanly on every smoothed level:
+  // parity on the rail levels, four colors on the bilinear Galerkin level.
+  const auto medium = GridModel::forConfig(mediumConfig(8));
+  EXPECT_NO_THROW(
+      MultigridHierarchy(medium->unitLaplacian(), medium->topology()));
 }
 
 TEST(MultigridHierarchy, RejectsMismatchedMatrix) {

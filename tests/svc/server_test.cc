@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
@@ -21,6 +22,7 @@
 #include "kernel/dispatch.h"
 #include "obs/obs.h"
 #include "svc/json.h"
+#include "tech/itrs.h"
 
 namespace nano::svc {
 namespace {
@@ -365,11 +367,32 @@ JsonValue cheapParams(RequestKind kind) {
   return params;
 }
 
+/// The bump pitch past which a grid_solve at node `nodeNm` is invalid.
+double dieEdgeUm(int nodeNm) {
+  return std::sqrt(tech::nodeByFeature(nodeNm).dieArea) / 1e-6;
+}
+
+/// Whether validateParams must reject `value` for `field` as outside its
+/// physical range (the node is the default 35 nm).
+bool outsidePhysicalRange(const std::string& field, double value) {
+  if (field == "vdd" || field == "vdd_min") {
+    return !(value > 0.0 && value <= 5.0);
+  }
+  if (field == "vth" || field == "vth_min" || field == "vth_max") {
+    return !(value >= -0.5 && value <= 1.0);
+  }
+  if (field == "activity") return !(value >= 0.0 && value <= 1.0);
+  if (field == "width_multiple") return value > 100.0;
+  if (field == "pad_pitch_um") return value < 0.0 || value > dieEdgeUm(35);
+  return false;
+}
+
 TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
   // Every field of every kind, set in turn to each wrong JSON type, a
   // non-integral and an out-of-range integer, +-1e300, 0 and a negative
   // value. Whatever the verdict, each line gets exactly one reply, in
-  // order, with a status — never a throw, a hang or a crash.
+  // order, with a status — never a throw, a hang or a crash. A number
+  // outside a field's physical range is answered invalid.
   const std::vector<JsonValue> values = {
       JsonValue::string("x"), JsonValue::boolean(true), JsonValue::null(),
       JsonValue::array(),     JsonValue::object(),      JsonValue::number(1.5),
@@ -377,6 +400,7 @@ TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
       JsonValue::number(-1e300), JsonValue::number(0), JsonValue::number(-1)};
   std::string input;
   std::vector<std::string> ids;
+  std::vector<bool> mustBeInvalid;
   for (int i = 0; i < kRequestKindCount; ++i) {
     const auto kind = static_cast<RequestKind>(i);
     const JsonValue defaults = paramsJson(defaultParams(kind));
@@ -384,6 +408,8 @@ TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
       for (const JsonValue& value : values) {
         JsonValue params = cheapParams(kind);
         params.set(field, value);
+        mustBeInvalid.push_back(value.isNumber() &&
+                                outsidePhysicalRange(field, value.asNumber()));
         std::string id = "f";
         id += std::to_string(ids.size());
         JsonValue line = JsonValue::object();
@@ -412,6 +438,116 @@ TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
     ASSERT_NE(reply.find("id"), nullptr) << lines[i];
     EXPECT_EQ(reply.find("id")->asString(), ids[i]);
     ASSERT_NE(reply.find("status"), nullptr) << lines[i];
+    if (mustBeInvalid[i]) {
+      EXPECT_EQ(reply.find("status")->asString(), "invalid") << lines[i];
+    }
+  }
+}
+
+bool hasNull(const JsonValue& v) {
+  if (v.isNull()) return true;
+  if (v.isArray()) {
+    return std::any_of(v.items().begin(), v.items().end(), hasNull);
+  }
+  if (v.isObject()) {
+    return std::any_of(v.members().begin(), v.members().end(),
+                       [](const auto& m) { return hasNull(m.second); });
+  }
+  return false;
+}
+
+TEST(RunServer, PhysicalRangesRejectJustOutsideAndAnswerFiniteJustInside) {
+  // Each end of each bounded param, 1e-3 outside, at the end itself, and
+  // 1e-3 inside, at the slowest and the fastest node. Outside is invalid
+  // and names the field; the end of a closed range is not invalid; inside
+  // answers ok with every number finite (non-finite numbers print null).
+  struct End {
+    const char* kind;
+    const char* field;
+    double bound;
+    double inward;  ///< +1 when the range lies above the bound, -1 below
+    bool closed;
+  };
+  std::vector<End> ends;
+  for (const char* kind : {"design_point", "design_grid", "design_optimum",
+                           "figure34"}) {
+    const bool point = std::string(kind) == "design_point";
+    const char* supply = point ? "vdd" : "vdd_min";
+    ends.push_back({kind, supply, 0.0, +1.0, false});
+    ends.push_back({kind, supply, 5.0, -1.0, true});
+    ends.push_back({kind, "activity", 0.0, +1.0, true});
+    ends.push_back({kind, "activity", 1.0, -1.0, true});
+    if (std::string(kind) == "figure34") continue;
+    for (const char* vth : {"vth", "vth_min", "vth_max"}) {
+      if (point != (std::string(vth) == "vth")) continue;
+      ends.push_back({kind, vth, -0.5, +1.0, true});
+      ends.push_back({kind, vth, 1.0, -1.0, true});
+    }
+  }
+  for (const char* kind : {"wire", "repeater", "grid_solve"}) {
+    ends.push_back({kind, "width_multiple", 100.0, -1.0, true});
+  }
+  for (const int nodeNm : {180, 35}) {
+    std::string input;
+    struct Expect {
+      std::string field;
+      int where;  ///< -1 outside, 0 at the end, +1 inside
+    };
+    std::vector<Expect> expects;
+    auto add = [&](const char* kind, const char* field, double value,
+                   int where) {
+      JsonValue params = JsonValue::object();
+      params.set("node_nm", nodeNm);
+      const std::string k = kind;
+      if (k == "design_grid" || k == "design_optimum") {
+        params.set("vdd_steps", 4);
+        params.set("vth_steps", 4);
+      }
+      if (k == "design_optimum") params.set("delay_target", 1e10);
+      if (k == "figure34") params.set("points", 3);
+      if (k == "grid_solve") params.set("subdivisions", 4);
+      params.set(field, value);
+      JsonValue line = JsonValue::object();
+      line.set("id", "b" + std::to_string(expects.size()));
+      line.set("kind", kind);
+      line.set("params", std::move(params));
+      input += line.write();
+      input.push_back('\n');
+      expects.push_back({field, where});
+    };
+    for (const End& e : ends) {
+      add(e.kind, e.field, e.bound - 1e-3 * e.inward, -1);
+      if (e.closed) add(e.kind, e.field, e.bound, 0);
+      add(e.kind, e.field, e.bound + 1e-3 * e.inward, +1);
+    }
+    const double edge = dieEdgeUm(nodeNm);
+    add("grid_solve", "pad_pitch_um", -1e-3, -1);
+    add("grid_solve", "pad_pitch_um", 0.0, 0);
+    add("grid_solve", "pad_pitch_um", 1e-3, +1);
+    add("grid_solve", "pad_pitch_um", edge + 1e-3, -1);
+    add("grid_solve", "pad_pitch_um", edge, 0);
+    add("grid_solve", "pad_pitch_um", edge - 1e-3, +1);
+
+    std::istringstream in(input);
+    std::ostringstream out;
+    Service service(replayOptions());
+    (void)runServer(in, out, service);
+    const std::vector<std::string> lines = splitLines(out.str());
+    ASSERT_EQ(lines.size(), expects.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const JsonValue reply = parseJson(lines[i]);
+      const std::string status = reply.find("status")->asString();
+      if (expects[i].where < 0) {
+        EXPECT_EQ(status, "invalid") << lines[i];
+        EXPECT_NE(lines[i].find(expects[i].field), std::string::npos)
+            << lines[i];
+      } else if (expects[i].where == 0) {
+        EXPECT_NE(status, "invalid") << lines[i];
+      } else {
+        EXPECT_EQ(status, "ok") << lines[i];
+        EXPECT_FALSE(hasNull(reply)) << lines[i];
+      }
+    }
   }
 }
 
@@ -436,10 +572,11 @@ TEST(RunServer, DeterministicErrorsAreStructuredNotFatal) {
 }
 
 TEST(RunServer, GridSolveThatDetectsNanAnswersErrorNamingTheStatus) {
-  // A 1e300 um pad pitch overflows the load vector: the solve stops with
-  // status nan-detected, and its all-zero drop must not be answered ok.
+  // A rail 1e-300 times the minimum width has no conductance to speak
+  // of: the solve stops with status nan-detected, and its all-zero drop
+  // must not be answered ok.
   std::istringstream in(
-      R"({"id":"nan","kind":"grid_solve","params":{"pad_pitch_um":1e300}})"
+      R"({"id":"nan","kind":"grid_solve","params":{"width_multiple":1e-300}})"
       "\n"
       R"({"id":"after","kind":"wire"})"
       "\n");
