@@ -572,6 +572,41 @@ BENCHMARK(BM_ScenarioObsOn)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
+// A 4 x 4 scenario_sweep of 2,000 steps through svc::evaluate, as nanod
+// serves it (the plant is cached by a first call outside the timed loop).
+// It goes through the request layer, so builds with other engine entry
+// points run the same rows. Items = integration steps/s over all 16
+// variants.
+void BM_ScenarioSweep(benchmark::State& state, const char* line) {
+  svc::Request request;
+  std::string error;
+  if (!svc::parseRequest(line, request, error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  if (svc::evaluate(request).status != svc::ResponseStatus::Ok) {
+    state.SkipWithError("sweep did not answer ok");
+    return;
+  }
+  for (auto _ : state) {
+    const svc::Outcome outcome = svc::evaluate(request);
+    benchmark::DoNotOptimize(outcome.data.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 16 * 2000);
+}
+BENCHMARK_CAPTURE(BM_ScenarioSweep, dtm,
+                  R"({"kind":"scenario_sweep","params":{"scenario":"dtm",)"
+                  R"("steps":2000,"axis_a":4,"axis_b":4}})")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ScenarioSweep, dvfs,
+                  R"({"kind":"scenario_sweep","params":{"scenario":"dvfs",)"
+                  R"("steps":2000,"axis_a":4,"axis_b":4}})")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ScenarioSweep, wakeup,
+                  R"({"kind":"scenario_sweep","params":{"scenario":"wakeup",)"
+                  R"("steps":2000,"axis_a":4,"axis_b":4}})")
+    ->Unit(benchmark::kMillisecond);
+
 // The `sta` request's netlist generator: a seeded scale-profile
 // pipelinedLogic netlist of Arg(0) gates. The library is characterized
 // once outside the timed loop, so this times cell picks and netlist

@@ -32,26 +32,48 @@ constexpr double kVddFracHi = 1.05;
 
 }  // namespace
 
-double Plant::Surface::at(double v, double t) const {
-  auto cell = [](const std::vector<double>& axis, double x) {
-    const auto it = std::upper_bound(axis.begin(), axis.end(), x);
-    std::size_t hi = static_cast<std::size_t>(it - axis.begin());
-    hi = std::clamp<std::size_t>(hi, 1, axis.size() - 1);
-    const double lo = axis[hi - 1];
-    const double span = axis[hi] - lo;
-    const double frac = std::clamp((x - lo) / span, 0.0, 1.0);
-    return std::pair<std::size_t, double>(hi - 1, frac);
-  };
-  const auto [iv, fv] = cell(vdd, v);
-  const auto [it, ft] = cell(temp, t);
-  const std::size_t nt = temp.size();
-  const double v00 = value[iv * nt + it];
-  const double v01 = value[iv * nt + it + 1];
-  const double v10 = value[(iv + 1) * nt + it];
-  const double v11 = value[(iv + 1) * nt + it + 1];
-  const double lo = v00 + (v01 - v00) * ft;
-  const double hi = v10 + (v11 - v10) * ft;
-  return lo + (hi - lo) * fv;
+namespace {
+
+Plant::SurfaceCell cellOf(const std::vector<double>& axis, double x) {
+  const auto it = std::upper_bound(axis.begin(), axis.end(), x);
+  std::size_t hi = static_cast<std::size_t>(it - axis.begin());
+  hi = std::clamp<std::size_t>(hi, 1, axis.size() - 1);
+  const double lo = axis[hi - 1];
+  const double span = axis[hi] - lo;
+  return {hi - 1, std::clamp((x - lo) / span, 0.0, 1.0)};
+}
+
+/// Bilinear interpolation of a row-major [vdd][temp] table with `nt`
+/// temperature samples per row.
+double interpolate(const std::vector<double>& table, std::size_t nt,
+                   Plant::SurfaceCell vdd, Plant::SurfaceCell temperature) {
+  const std::size_t iv = vdd.index;
+  const std::size_t it = temperature.index;
+  const double v00 = table[iv * nt + it];
+  const double v01 = table[iv * nt + it + 1];
+  const double v10 = table[(iv + 1) * nt + it];
+  const double v11 = table[(iv + 1) * nt + it + 1];
+  const double lo = v00 + (v01 - v00) * temperature.frac;
+  const double hi = v10 + (v11 - v10) * temperature.frac;
+  return lo + (hi - lo) * vdd.frac;
+}
+
+}  // namespace
+
+Plant::SurfaceCell Plant::vddCell(double vddFraction) const {
+  return cellOf(vddAxis_, vddFraction);
+}
+
+Plant::SurfaceCell Plant::temperatureCell(double temperatureK) const {
+  return cellOf(tempAxis_, temperatureK);
+}
+
+double Plant::delayScaleAt(SurfaceCell vdd, SurfaceCell temperature) const {
+  return interpolate(delayTable_, tempAxis_.size(), vdd, temperature);
+}
+
+double Plant::leakageScaleAt(SurfaceCell vdd, SurfaceCell temperature) const {
+  return interpolate(leakTable_, tempAxis_.size(), vdd, temperature);
 }
 
 Plant::Plant(const PlantConfig& config)
@@ -88,21 +110,18 @@ Plant::Plant(const PlantConfig& config)
   const double dibl = node_->dibl;
   const double wireCap = node_->localWireCapPerM * node_->avgLocalWireLength;
 
-  delaySurface_.vdd = util::linspace(kVddFracLo, kVddFracHi, kVddSamples);
-  delaySurface_.temp =
-      util::linspace(node_->tAmbient - 15.0, node_->tjMax + 40.0,
-                     kTempSamples);
-  leakSurface_.vdd = delaySurface_.vdd;
-  leakSurface_.temp = delaySurface_.temp;
-  delaySurface_.value.reserve(kVddSamples * kTempSamples);
-  leakSurface_.value.reserve(kVddSamples * kTempSamples);
-  for (double vFrac : delaySurface_.vdd) {
+  vddAxis_ = util::linspace(kVddFracLo, kVddFracHi, kVddSamples);
+  tempAxis_ = util::linspace(node_->tAmbient - 15.0, node_->tjMax + 40.0,
+                             kTempSamples);
+  delayTable_.reserve(kVddSamples * kTempSamples);
+  leakTable_.reserve(kVddSamples * kTempSamples);
+  for (double vFrac : vddAxis_) {
     const double v = vFrac * node_->vdd;
     const double vth = vthNominal_ + dibl * (node_->vdd - v);
-    for (double t : delaySurface_.temp) {
+    for (double t : tempAxis_) {
       const device::InverterModel inv(*node_, vth, v, {}, t);
-      delaySurface_.value.push_back(inv.fo4Delay(wireCap));
-      leakSurface_.value.push_back(inv.leakagePower());
+      delayTable_.push_back(inv.fo4Delay(wireCap));
+      leakTable_.push_back(inv.leakagePower());
     }
   }
   // Normalize delay against the worst case over the die's operating range
@@ -110,16 +129,18 @@ Plant::Plant(const PlantConfig& config)
   // temperature inversion (Vth falls faster than mobility with T), so the
   // slowest corner is the cold die at ambient, not the junction limit —
   // sampling the range keeps nominal clocking timing-safe either way.
+  const SurfaceCell nominal = vddCell(1.0);
   double delayRef = 0.0;
-  for (double t : delaySurface_.temp) {
+  for (double t : tempAxis_) {
     if (t < node_->tAmbient - 1e-9 || t > node_->tjMax + 1e-9) continue;
-    delayRef = std::max(delayRef, delaySurface_.at(1.0, t));
+    delayRef = std::max(delayRef, delayScaleAt(nominal, temperatureCell(t)));
   }
-  delayRef = std::max({delayRef, delaySurface_.at(1.0, node_->tAmbient),
-                       delaySurface_.at(1.0, node_->tjMax)});
-  const double leakRef = leakSurface_.at(1.0, tRef);
-  for (double& d : delaySurface_.value) d /= delayRef;
-  for (double& l : leakSurface_.value) l /= leakRef;
+  delayRef = std::max(
+      {delayRef, delayScaleAt(nominal, temperatureCell(node_->tAmbient)),
+       delayScaleAt(nominal, temperatureCell(node_->tjMax))});
+  const double leakRef = leakageScaleAt(nominal, temperatureCell(tRef));
+  for (double& d : delayTable_) d /= delayRef;
+  for (double& l : leakTable_) l /= leakRef;
 
   pdynNominal_ = config.dynamicFraction * node_->maxPower;
   pleakNominal_ = (1.0 - config.dynamicFraction) * node_->maxPower;
@@ -137,14 +158,6 @@ Plant::Plant(const PlantConfig& config)
         *node_, powergrid::minPitchVddBumps(*node_));
     wakeInductance_ = wake.effectiveInductance;
   }
-}
-
-double Plant::delayScale(double vddFraction, double temperatureK) const {
-  return delaySurface_.at(vddFraction, temperatureK);
-}
-
-double Plant::leakageScale(double vddFraction, double temperatureK) const {
-  return leakSurface_.at(vddFraction, temperatureK);
 }
 
 double Plant::irDropFraction(double powerW, double vddFraction) const {

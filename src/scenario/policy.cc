@@ -25,12 +25,18 @@ TableDvfsPolicy::TableDvfsPolicy(const Config& config) : config_(config) {
 
 Actuation TableDvfsPolicy::decide(const PolicyObservation& obs) {
   const double d = std::clamp(obs.demandFraction, 0.0, 1.0);
+  // The pick reads d only through comparisons, so an equal d (+0 and -0
+  // included) picks the same level; a NaN never compares equal.
+  if (hasLast_ && d == lastDemand_) return last_;
   const thermal::DvfsLevel& pick = thermal::pickDvfsLevel(config_.levels, d);
   Actuation act;
   act.freqFraction = pick.freqFraction;
   act.vddFraction = pick.vddFraction;
   act.clockGate =
       config_.gateBelowDemand > 0.0 && d < config_.gateBelowDemand;
+  hasLast_ = true;
+  lastDemand_ = d;
+  last_ = act;
   return act;
 }
 

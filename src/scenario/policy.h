@@ -72,7 +72,9 @@ class ReactiveDtmPolicy : public Policy {
 
 /// Table-driven DVFS governor: thermal::pickDvfsLevel over a (f, V) table
 /// at the observed demand, and clock-gates below a demand threshold (0
-/// disables gating).
+/// disables gating). The actuation depends only on the clamped demand,
+/// which changes only at workload phase boundaries, so the last decision
+/// is kept and returned while the demand compares equal.
 class TableDvfsPolicy : public Policy {
  public:
   struct Config {
@@ -82,12 +84,15 @@ class TableDvfsPolicy : public Policy {
   explicit TableDvfsPolicy(const Config& config);
 
   [[nodiscard]] const char* name() const override { return "dvfs"; }
-  void reset() override {}
+  void reset() override { hasLast_ = false; }
   Actuation decide(const PolicyObservation& obs) override;
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
   Config config_;
+  bool hasLast_ = false;
+  double lastDemand_ = 0.0;
+  Actuation last_;
 };
 
 /// Assertion-guarded DVS exploration (Yu et al.): no level table. The

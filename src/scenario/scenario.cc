@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 #include "util/csv.h"
@@ -28,170 +30,263 @@ const char* checkKindName(CheckKind kind) {
   return "unknown";
 }
 
-ScenarioResult runScenario(const Plant& plant, Policy& policy,
-                           const ScenarioConfig& config) {
+namespace {
+
+/// One variant's loop state between steps. The cells are those of the
+/// variant's current Vdd and temperature: a surface lookup searches an
+/// axis only when its coordinate changed.
+struct Variant {
+  Policy* policy = nullptr;
+  ScenarioResult result;
+  double temperature = 0.0;
+  double freq = 1.0;
+  double vdd = 1.0;
+  bool gated = false;
+  double slack = 0.0;
+  double irDrop = 0.0;
+  double prevCurrent = 0.0;
+  double tempSum = 0.0;
+  double deliveredWork = 0.0;
+  Plant::SurfaceCell vddCell;
+  Plant::SurfaceCell tempCell;
+};
+
+/// What every variant of a run shares.
+struct RunContext {
+  const Plant& plant;
+  const ScenarioConfig& config;
+  double tAmbient;
+  double maxTemperature;
+  double clock;
+  double decay;
+};
+
+void check(ScenarioResult& result, CheckKind kind, bool bad, double value,
+           double limit, long step, double t) {
+  ++result.checksEvaluated;
+  if (!bad) return;
+  ++result.violationCount;
+  if (static_cast<int>(result.violations.size()) < kMaxViolationsRecorded) {
+    result.violations.push_back({kind, step, t, value, limit});
+  }
+}
+
+/// One integration step of one variant at demand `demand`.
+void stepVariant(Variant& v, const RunContext& run, long step, double t,
+                 double demand) {
+  const Plant& plant = run.plant;
+  const ScenarioConfig& config = run.config;
+  ScenarioResult& result = v.result;
+
+  PolicyObservation obs;
+  obs.timeS = t;
+  obs.demandFraction = demand;
+  obs.temperatureK = v.temperature;
+  obs.slackS = v.slack;
+  obs.irDropFraction = v.irDrop;
+  obs.clockPeriodS = run.clock;
+  obs.vddFraction = v.vdd;
+  obs.freqFraction = v.freq;
+  obs.gated = v.gated;
+
+  Actuation act = v.policy->decide(obs);
+  act.freqFraction = std::clamp(act.freqFraction, 0.01, 1.2);
+  act.vddFraction = std::clamp(act.vddFraction, 0.5, 1.05);
+  const bool vddRose = act.vddFraction > v.vdd;
+  if (act.vddFraction != v.vdd) {
+    ++result.vddSteps;
+    v.vddCell = plant.vddCell(act.vddFraction);
+  }
+  const bool ungated = v.gated && !act.clockGate;
+  if (act.clockGate != v.gated) ++result.gateEvents;
+  v.freq = act.freqFraction;
+  v.vdd = act.vddFraction;
+  v.gated = act.clockGate;
+
+  // Power at the actuated operating point.
+  const double delivered = v.gated ? 0.0 : std::min(demand, v.freq);
+  const double busy = v.freq > 0.0 ? delivered / v.freq : 0.0;
+  const double vSq = v.vdd * v.vdd;
+  const double pdyn =
+      v.gated
+          ? config.gatedDynamicFraction * plant.dynamicPowerNominal() * vSq
+          : busy * plant.dynamicPowerNominal() * v.freq * vSq;
+  const double pleak = plant.leakagePowerNominal() *
+                       plant.leakageScaleAt(v.vddCell, v.tempCell);
+  const double power = pdyn + pleak;
+  const double current = plant.supplyCurrent(power, v.vdd);
+
+  // Wake-up rush: a positive current step ramped through the bump
+  // inductance on leaving a gated state or stepping Vdd up.
+  double rush = 0.0;
+  if (ungated || vddRose) {
+    rush = plant.rushNoiseFraction(current - v.prevCurrent, config.wakeRampS,
+                                   v.vdd);
+  }
+  v.irDrop = plant.irDropFraction(power, v.vdd) + rush;
+
+  // Physics step and the timing consequence. The new temperature's cell
+  // serves this step's delay lookup and the next step's leakage lookup.
+  v.temperature = plant.package().stepWithDecay(v.temperature, power,
+                                                run.tAmbient, run.decay);
+  v.tempCell = plant.temperatureCell(v.temperature);
+  v.slack = run.clock / v.freq -
+            run.clock * plant.delayScaleAt(v.vddCell, v.tempCell);
+
+  // The three per-step assertions.
+  check(result, CheckKind::Temperature, v.temperature > run.maxTemperature,
+        v.temperature, run.maxTemperature, step, t);
+  check(result, CheckKind::IrDrop, v.irDrop > config.limits.irBudgetFraction,
+        v.irDrop, config.limits.irBudgetFraction, step, t);
+  check(result, CheckKind::TimingSlack, v.slack < config.limits.minSlackS,
+        v.slack, config.limits.minSlackS, step, t);
+
+  // Accounting.
+  v.tempSum += v.temperature;
+  v.deliveredWork += delivered;
+  result.energyJ += power * config.dt;
+  result.maxTemperatureK = std::max(result.maxTemperatureK, v.temperature);
+  result.peakPowerW = std::max(result.peakPowerW, power);
+  result.peakIrDropFraction = std::max(result.peakIrDropFraction, v.irDrop);
+  result.peakRushFraction = std::max(result.peakRushFraction, rush);
+  result.worstSlackS = std::min(result.worstSlackS, v.slack);
+  v.prevCurrent = current;
+
+  if (step % config.traceStride == 0) {
+    result.trace.push_back({t, demand, v.freq, v.vdd, v.gated, power,
+                            v.temperature, v.slack, v.irDrop, rush,
+                            result.violationCount});
+  }
+}
+
+/// Close a variant after `integrated` steps, with the shared sums of the
+/// demand and the baseline energy through its last step.
+void finish(Variant& v, long integrated, double baselineEnergyJ,
+            double demandedWork) {
+  ScenarioResult& result = v.result;
+  result.steps = integrated;
+  result.ok = result.violationCount == 0;
+  result.baselineEnergyJ = baselineEnergyJ;
+  result.avgTemperatureK = v.tempSum / static_cast<double>(integrated);
+  result.throughputFraction =
+      demandedWork > 0.0 ? v.deliveredWork / demandedWork : 1.0;
+}
+
+}  // namespace
+
+std::vector<ScenarioResult> runScenarios(const Plant& plant,
+                                         std::span<Policy* const> policies,
+                                         const ScenarioConfig& config) {
   NANO_OBS_TIMER("scenario/run");
   if (!(config.dt > 0.0) || !std::isfinite(config.dt)) {
-    throw std::invalid_argument("runScenario: dt must be positive");
+    throw std::invalid_argument("runScenarios: dt must be positive");
   }
   if (config.traceStride < 1) {
-    throw std::invalid_argument("runScenario: traceStride must be >= 1");
+    throw std::invalid_argument("runScenarios: traceStride must be >= 1");
   }
   long steps = config.steps;
   if (steps <= 0) {
     steps = static_cast<long>(config.workload.totalDuration() / config.dt);
   }
   if (steps <= 0) {
-    throw std::invalid_argument("runScenario: empty workload");
+    throw std::invalid_argument("runScenarios: empty workload");
+  }
+  std::vector<Policy*> distinct(policies.begin(), policies.end());
+  std::sort(distinct.begin(), distinct.end(), std::less<>());
+  if (!distinct.empty() && distinct.front() == nullptr) {
+    throw std::invalid_argument("runScenarios: null policy");
+  }
+  if (std::adjacent_find(distinct.begin(), distinct.end()) != distinct.end()) {
+    throw std::invalid_argument("runScenarios: repeated policy");
   }
 
   const tech::TechNode& node = plant.node();
-  const double tAmbient =
-      config.tAmbientK > 0.0 ? config.tAmbientK : node.tAmbient;
-  const double maxTemperature = config.limits.maxTemperatureK > 0.0
-                                    ? config.limits.maxTemperatureK
-                                    : node.tjMax;
-  const double clock = plant.clockPeriod();
-  const thermal::ThermalPackage& package = plant.package();
-  const double decay = package.decay(config.dt);
+  const RunContext run{
+      plant,
+      config,
+      config.tAmbientK > 0.0 ? config.tAmbientK : node.tAmbient,
+      config.limits.maxTemperatureK > 0.0 ? config.limits.maxTemperatureK
+                                          : node.tjMax,
+      plant.clockPeriod(),
+      plant.package().decay(config.dt)};
 
-  policy.reset();
-
-  ScenarioResult result;
-  result.worstSlackS = clock;  // shrinks to the observed minimum
-
-  double temperature = tAmbient;
-  double baselineTemperature = tAmbient;
-  double freq = 1.0;
-  double vdd = 1.0;
-  bool gated = false;
   // First observation: cold die at the nominal operating point.
-  double slack = clock - clock * plant.delayScale(1.0, tAmbient);
-  double irDrop = 0.0;
-  double prevCurrent = 0.0;
-  double tempSum = 0.0;
+  const Plant::SurfaceCell nominalVdd = plant.vddCell(1.0);
+  const Plant::SurfaceCell ambient = plant.temperatureCell(run.tAmbient);
+  const double firstSlack =
+      run.clock - run.clock * plant.delayScaleAt(nominalVdd, ambient);
+  std::vector<Variant> variants(policies.size());
+  std::vector<Variant*> running;
+  running.reserve(variants.size());
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    Variant& v = variants[i];
+    v.policy = policies[i];
+    v.policy->reset();
+    v.result.worstSlackS = run.clock;  // shrinks to the observed minimum
+    v.temperature = run.tAmbient;
+    v.slack = firstSlack;
+    v.vddCell = nominalVdd;
+    v.tempCell = ambient;
+    running.push_back(&v);
+  }
+
+  double baselineTemperature = run.tAmbient;
+  double baselineEnergyJ = 0.0;
   double demandedWork = 0.0;
-  double deliveredWork = 0.0;
-  long integrated = 0;
   thermal::PowerTrace::Cursor workload(config.workload);
 
-  for (long step = 0; step < steps; ++step) {
+  for (long step = 0; step < steps && !running.empty(); ++step) {
     const double t = static_cast<double>(step) * config.dt;
     const double demand = std::clamp(workload.at(t), 0.0, 1.0);
-
-    PolicyObservation obs;
-    obs.timeS = t;
-    obs.demandFraction = demand;
-    obs.temperatureK = temperature;
-    obs.slackS = slack;
-    obs.irDropFraction = irDrop;
-    obs.clockPeriodS = clock;
-    obs.vddFraction = vdd;
-    obs.freqFraction = freq;
-    obs.gated = gated;
-
-    Actuation act = policy.decide(obs);
-    act.freqFraction = std::clamp(act.freqFraction, 0.01, 1.2);
-    act.vddFraction = std::clamp(act.vddFraction, 0.5, 1.05);
-    const bool vddRose = act.vddFraction > vdd;
-    if (act.vddFraction != vdd) ++result.vddSteps;
-    const bool ungated = gated && !act.clockGate;
-    if (act.clockGate != gated) ++result.gateEvents;
-    freq = act.freqFraction;
-    vdd = act.vddFraction;
-    gated = act.clockGate;
-
-    // Power at the actuated operating point.
-    const double delivered = gated ? 0.0 : std::min(demand, freq);
-    const double busy = freq > 0.0 ? delivered / freq : 0.0;
-    const double vSq = vdd * vdd;
-    const double pdyn =
-        gated ? config.gatedDynamicFraction * plant.dynamicPowerNominal() * vSq
-              : busy * plant.dynamicPowerNominal() * freq * vSq;
-    const double pleak =
-        plant.leakagePowerNominal() * plant.leakageScale(vdd, temperature);
-    const double power = pdyn + pleak;
-    const double current = plant.supplyCurrent(power, vdd);
-
-    // Wake-up rush: a positive current step ramped through the bump
-    // inductance on leaving a gated state or stepping Vdd up.
-    double rush = 0.0;
-    if (ungated || vddRose) {
-      rush = plant.rushNoiseFraction(current - prevCurrent, config.wakeRampS,
-                                     vdd);
-    }
-    irDrop = plant.irDropFraction(power, vdd) + rush;
-
-    // Physics step and the timing consequence.
-    temperature = package.stepWithDecay(temperature, power, tAmbient, decay);
-    slack = clock / freq - clock * plant.delayScale(vdd, temperature);
-
-    // The three per-step assertions.
-    auto check = [&](CheckKind kind, bool bad, double value, double limit) {
-      ++result.checksEvaluated;
-      if (!bad) return;
-      ++result.violationCount;
-      if (static_cast<int>(result.violations.size()) <
-          kMaxViolationsRecorded) {
-        result.violations.push_back({kind, step, t, value, limit});
-      }
-    };
-    check(CheckKind::Temperature, temperature > maxTemperature, temperature,
-          maxTemperature);
-    check(CheckKind::IrDrop, irDrop > config.limits.irBudgetFraction, irDrop,
-          config.limits.irBudgetFraction);
-    check(CheckKind::TimingSlack, slack < config.limits.minSlackS, slack,
-          config.limits.minSlackS);
-
-    // Accounting.
-    ++integrated;
-    tempSum += temperature;
     demandedWork += demand;
-    deliveredWork += delivered;
-    result.energyJ += power * config.dt;
-    result.maxTemperatureK = std::max(result.maxTemperatureK, temperature);
-    result.peakPowerW = std::max(result.peakPowerW, power);
-    result.peakIrDropFraction = std::max(result.peakIrDropFraction, irDrop);
-    result.peakRushFraction = std::max(result.peakRushFraction, rush);
-    result.worstSlackS = std::min(result.worstSlackS, slack);
-    prevCurrent = current;
+    for (Variant* v : running) stepVariant(*v, run, step, t, demand);
 
     // Nominal baseline: the same demand at full frequency and voltage,
     // its own thermal trajectory (race-to-idle energy comparison).
     const double basePower =
         demand * plant.dynamicPowerNominal() +
         plant.leakagePowerNominal() *
-            plant.leakageScale(1.0, baselineTemperature);
-    baselineTemperature =
-        package.stepWithDecay(baselineTemperature, basePower, tAmbient, decay);
-    result.baselineEnergyJ += basePower * config.dt;
+            plant.leakageScaleAt(nominalVdd,
+                                 plant.temperatureCell(baselineTemperature));
+    baselineTemperature = plant.package().stepWithDecay(
+        baselineTemperature, basePower, run.tAmbient, run.decay);
+    baselineEnergyJ += basePower * config.dt;
 
-    if (step % config.traceStride == 0) {
-      result.trace.push_back({t, demand, freq, vdd, gated, power, temperature,
-                              slack, irDrop, rush, result.violationCount});
+    if (config.failFast) {
+      std::erase_if(running, [&](Variant* v) {
+        if (v->result.violationCount == 0) return false;
+        finish(*v, step + 1, baselineEnergyJ, demandedWork);
+        return true;
+      });
     }
-
-    if (config.failFast && result.violationCount > 0) break;
   }
+  for (Variant* v : running) finish(*v, steps, baselineEnergyJ, demandedWork);
 
-  // The sensor gauges hold the last integrated step's state.
-  NANO_OBS_GAUGE("scenario/temperature_k", temperature);
-  NANO_OBS_GAUGE("scenario/ir_drop_fraction", irDrop);
-  NANO_OBS_GAUGE("scenario/slack_ps", slack * 1e12);
+  if (!variants.empty()) {
+    // The sensor gauges hold the last variant's last integrated step.
+    const Variant& last = variants.back();
+    NANO_OBS_GAUGE("scenario/temperature_k", last.temperature);
+    NANO_OBS_GAUGE("scenario/ir_drop_fraction", last.irDrop);
+    NANO_OBS_GAUGE("scenario/slack_ps", last.slack * 1e12);
+  }
+  std::vector<ScenarioResult> results;
+  results.reserve(variants.size());
+  for (Variant& v : variants) {
+    NANO_OBS_COUNT("scenario/runs", 1);
+    NANO_OBS_COUNT("scenario/steps", v.result.steps);
+    NANO_OBS_COUNT("scenario/checks", v.result.checksEvaluated);
+    NANO_OBS_COUNT("scenario/violations", v.result.violationCount);
+    NANO_OBS_COUNT("scenario/gate_events", v.result.gateEvents);
+    NANO_OBS_COUNT("scenario/vdd_steps", v.result.vddSteps);
+    results.push_back(std::move(v.result));
+  }
+  return results;
+}
 
-  result.steps = integrated;
-  result.ok = result.violationCount == 0;
-  result.avgTemperatureK = tempSum / static_cast<double>(integrated);
-  result.throughputFraction =
-      demandedWork > 0.0 ? deliveredWork / demandedWork : 1.0;
-
-  NANO_OBS_COUNT("scenario/runs", 1);
-  NANO_OBS_COUNT("scenario/steps", integrated);
-  NANO_OBS_COUNT("scenario/checks", result.checksEvaluated);
-  NANO_OBS_COUNT("scenario/violations", result.violationCount);
-  NANO_OBS_COUNT("scenario/gate_events", result.gateEvents);
-  NANO_OBS_COUNT("scenario/vdd_steps", result.vddSteps);
-  return result;
+ScenarioResult runScenario(const Plant& plant, Policy& policy,
+                           const ScenarioConfig& config) {
+  Policy* const one[] = {&policy};
+  return std::move(runScenarios(plant, one, config).front());
 }
 
 std::string scenarioCsv(const ScenarioResult& result) {

@@ -11,12 +11,17 @@
 //
 // Every step evaluates three assertions — temperature, IR-drop margin,
 // timing slack — and the scenario fails loudly (violation records, ok =
-// false, optionally fail-fast) when a policy breaks one. The loop is
-// serial and allocation-light; results are byte-identical at any exec
-// lane count, which the committed golden traces pin down.
+// false, optionally fail-fast) when a policy breaks one. One loop steps
+// any number of policy variants of a run in lockstep: it reads the demand
+// once per step, steps each variant, and advances the nominal baseline,
+// which no variant changes, once for all. The loop is serial and
+// allocation-light; results are byte-identical at any exec lane count and
+// for any grouping of variants, which the committed golden traces pin
+// down.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,8 +105,18 @@ struct ScenarioResult {
 /// Cap on stored Violation records; the count keeps running past it.
 inline constexpr int kMaxViolationsRecorded = 64;
 
-/// Run the loop. Throws std::invalid_argument on a non-positive dt/steps,
-/// an empty workload, or a traceStride < 1.
+/// Run the loop for every policy in `policies` over one plant and config;
+/// result i belongs to policies[i] and is the same as a run of that
+/// policy alone. Each policy is reset first. With failFast, a variant
+/// stops at its own first violation while the others go on. Throws
+/// std::invalid_argument on a non-positive dt/steps, an empty workload, a
+/// traceStride < 1, or a null or repeated policy (two variants must not
+/// share policy state). Records one "scenario/run" timer sample per call.
+std::vector<ScenarioResult> runScenarios(const Plant& plant,
+                                         std::span<Policy* const> policies,
+                                         const ScenarioConfig& config);
+
+/// runScenarios() of one policy.
 ScenarioResult runScenario(const Plant& plant, Policy& policy,
                            const ScenarioConfig& config);
 

@@ -1,5 +1,7 @@
 #include "svc/eval.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -239,6 +241,14 @@ JsonValue evalGridSolve(const GridSolveParams& p) {
         std::string("grid_solve: the mesh solve failed with solver_status ") +
         util::solverStatusName(sol.cgDiagnostics.status));
   }
+  // The mesh model assumes a drop small against the supply; a drop at or
+  // above it is outside the model, not an answer.
+  if (!(sol.maxDropFraction < 1.0)) {
+    std::string message = "grid_solve: max_drop_fraction ";
+    appendJsonDouble(message, sol.maxDropFraction);
+    message += " is at or above 1; the mesh model assumes a small drop";
+    throw std::runtime_error(message);
+  }
   JsonValue data = JsonValue::object();
   data.set("node_nm", p.nodeNm);
   data.set("unknowns", static_cast<double>(sol.unknowns));
@@ -405,29 +415,45 @@ JsonValue evalScenarioSweep(const ScenarioSweepParams& p) {
   };
   scenario::ScenarioSpec base = scenarioSpec(p.base);
   base.policy = policy;
-  // Warm the plant cache once so the parallel variants all share one
-  // build instead of racing to construct identical plants.
+  // Warm the plant cache once so the parallel blocks all share one build
+  // instead of racing to construct identical plants.
   (void)scenario::makeScenario(base);
   const int variants = p.axisA * p.axisB;
   struct Row {
     double knobA = 0.0, knobB = 0.0;
     scenario::ScenarioResult result;
   };
-  const std::vector<Row> rows = exec::parallelMap<Row>(
-      static_cast<std::size_t>(variants), [&](std::size_t idx) {
-        const int ia = static_cast<int>(idx) / p.axisB;
-        const int ib = static_cast<int>(idx) % p.axisB;
-        scenario::ScenarioSpec spec = base;
-        spec.knobA = knobAt(range.aLo, range.aHi, ia, p.axisA);
-        spec.knobB = knobAt(range.bLo, range.bHi, ib, p.axisB);
-        scenario::ScenarioSetup setup = scenario::makeScenario(spec);
-        Row row;
-        row.knobA = spec.knobA;
-        row.knobB = spec.knobB;
-        row.result =
-            scenario::runScenario(*setup.plant, *setup.policy, setup.config);
-        return row;
-      });
+  std::vector<Row> rows(static_cast<std::size_t>(variants));
+  // One contiguous block of variants per exec lane, stepped in lockstep by
+  // one runScenarios call. The knobs change only the policy, so every
+  // variant's plant and config equal the block's first.
+  const std::size_t blocks = std::min(
+      rows.size(), static_cast<std::size_t>(exec::threadCount()));
+  exec::parallelFor(
+      blocks,
+      [&](std::size_t block) {
+        const std::size_t begin = block * rows.size() / blocks;
+        const std::size_t end = (block + 1) * rows.size() / blocks;
+        std::vector<scenario::ScenarioSetup> setups;
+        std::vector<scenario::Policy*> policies;
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          const int ia = static_cast<int>(idx) / p.axisB;
+          const int ib = static_cast<int>(idx) % p.axisB;
+          scenario::ScenarioSpec spec = base;
+          spec.knobA = knobAt(range.aLo, range.aHi, ia, p.axisA);
+          spec.knobB = knobAt(range.bLo, range.bHi, ib, p.axisB);
+          rows[idx].knobA = spec.knobA;
+          rows[idx].knobB = spec.knobB;
+          setups.push_back(scenario::makeScenario(spec));
+          policies.push_back(setups.back().policy.get());
+        }
+        std::vector<scenario::ScenarioResult> results = scenario::runScenarios(
+            *setups.front().plant, policies, setups.front().config);
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          rows[idx].result = std::move(results[idx - begin]);
+        }
+      },
+      1);
   int okCount = 0;
   int best = -1;  // lowest-energy ok variant; first index wins ties
   for (int i = 0; i < variants; ++i) {
@@ -497,6 +523,46 @@ JsonValue dispatch(const Request& request) {
   throw std::logic_error("evaluate: unhandled kind");
 }
 
+/// Whether `v` holds a non-finite number (which would print as null); if
+/// so, prepends its path below `v` to `path`, as in "points[0].pdyn_norm".
+bool findNonFinite(const JsonValue& v, std::string& path) {
+  auto prepend = [&path](std::string step) {
+    if (!path.empty() && path.front() != '[') step.push_back('.');
+    path.insert(0, step);
+  };
+  if (v.isNumber()) return !std::isfinite(v.asNumber());
+  if (v.isArray()) {
+    for (std::size_t i = 0; i < v.items().size(); ++i) {
+      if (findNonFinite(v.items()[i], path)) {
+        std::string index(1, '[');
+        index += std::to_string(i);
+        index.push_back(']');
+        prepend(std::move(index));
+        return true;
+      }
+    }
+  } else if (v.isObject()) {
+    for (const auto& [name, member] : v.members()) {
+      if (findNonFinite(member, path)) {
+        prepend(name);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// An ok payload answers with finite numbers only: where the model has no
+/// finite answer, the request answers error and names the field.
+const JsonValue& requireFinite(const JsonValue& data, RequestKind kind) {
+  std::string path;
+  if (findNonFinite(data, path)) {
+    throw std::runtime_error(std::string(kindName(kind)) +
+                             ": the model gives no finite " + path);
+  }
+  return data;
+}
+
 /// The one non-pure kind: a live snapshot of the process's own metrics.
 /// The service bypasses the cache for it (identical keys do NOT imply
 /// identical payloads here), and golden traces exclude it.
@@ -520,7 +586,8 @@ Outcome evaluate(const Request& request) {
     outcome.status = ResponseStatus::Ok;
     outcome.data = request.kind == RequestKind::Stats
                        ? evalStats(std::get<StatsParams>(request.params))
-                       : dispatch(request).write();
+                       : requireFinite(dispatch(request), request.kind)
+                             .write();
   } catch (const std::exception& e) {
     NANO_OBS_COUNT("svc/errors", 1);
     outcome.status = ResponseStatus::Error;

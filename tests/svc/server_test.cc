@@ -387,12 +387,26 @@ bool outsidePhysicalRange(const std::string& field, double value) {
   return false;
 }
 
+bool hasNull(const JsonValue& v) {
+  if (v.isNull()) return true;
+  if (v.isArray()) {
+    return std::any_of(v.items().begin(), v.items().end(), hasNull);
+  }
+  if (v.isObject()) {
+    return std::any_of(v.members().begin(), v.members().end(),
+                       [](const auto& m) { return hasNull(m.second); });
+  }
+  return false;
+}
+
 TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
   // Every field of every kind, set in turn to each wrong JSON type, a
   // non-integral and an out-of-range integer, +-1e300, 0 and a negative
   // value. Whatever the verdict, each line gets exactly one reply, in
   // order, with a status — never a throw, a hang or a crash. A number
-  // outside a field's physical range is answered invalid.
+  // outside a field's physical range is answered invalid. An ok reply
+  // (stats aside) holds no null, which is how a non-finite number
+  // prints, and a grid_solve drop stays below the supply.
   const std::vector<JsonValue> values = {
       JsonValue::string("x"), JsonValue::boolean(true), JsonValue::null(),
       JsonValue::array(),     JsonValue::object(),      JsonValue::number(1.5),
@@ -401,6 +415,7 @@ TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
   std::string input;
   std::vector<std::string> ids;
   std::vector<bool> mustBeInvalid;
+  std::vector<RequestKind> kinds;
   for (int i = 0; i < kRequestKindCount; ++i) {
     const auto kind = static_cast<RequestKind>(i);
     const JsonValue defaults = paramsJson(defaultParams(kind));
@@ -410,6 +425,7 @@ TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
         params.set(field, value);
         mustBeInvalid.push_back(value.isNumber() &&
                                 outsidePhysicalRange(field, value.asNumber()));
+        kinds.push_back(kind);
         std::string id = "f";
         id += std::to_string(ids.size());
         JsonValue line = JsonValue::object();
@@ -441,19 +457,17 @@ TEST(RunServer, EveryParamOfEveryKindFuzzedGetsOneStructuredReplyEach) {
     if (mustBeInvalid[i]) {
       EXPECT_EQ(reply.find("status")->asString(), "invalid") << lines[i];
     }
+    if (reply.find("status")->asString() != "ok" ||
+        kinds[i] == RequestKind::Stats) {
+      continue;
+    }
+    EXPECT_FALSE(hasNull(reply)) << lines[i];
+    if (kinds[i] == RequestKind::GridSolve) {
+      EXPECT_LT(reply.find("data")->find("max_drop_fraction")->asNumber(),
+                1.0)
+          << lines[i];
+    }
   }
-}
-
-bool hasNull(const JsonValue& v) {
-  if (v.isNull()) return true;
-  if (v.isArray()) {
-    return std::any_of(v.items().begin(), v.items().end(), hasNull);
-  }
-  if (v.isObject()) {
-    return std::any_of(v.members().begin(), v.members().end(),
-                       [](const auto& m) { return hasNull(m.second); });
-  }
-  return false;
 }
 
 TEST(RunServer, PhysicalRangesRejectJustOutsideAndAnswerFiniteJustInside) {
@@ -461,6 +475,9 @@ TEST(RunServer, PhysicalRangesRejectJustOutsideAndAnswerFiniteJustInside) {
   // 1e-3 inside, at the slowest and the fastest node. Outside is invalid
   // and names the field; the end of a closed range is not invalid; inside
   // answers ok with every number finite (non-finite numbers print null).
+  // The one exception is a pad pitch just inside the die edge: its mesh
+  // drop (kilovolts) is far above the supply, so it answers error naming
+  // the drop.
   struct End {
     const char* kind;
     const char* field;
@@ -491,7 +508,7 @@ TEST(RunServer, PhysicalRangesRejectJustOutsideAndAnswerFiniteJustInside) {
     std::string input;
     struct Expect {
       std::string field;
-      int where;  ///< -1 outside, 0 at the end, +1 inside
+      int where;  ///< -1 outside, 0 at the end, +1 inside, 2 model error
     };
     std::vector<Expect> expects;
     auto add = [&](const char* kind, const char* field, double value,
@@ -526,7 +543,8 @@ TEST(RunServer, PhysicalRangesRejectJustOutsideAndAnswerFiniteJustInside) {
     add("grid_solve", "pad_pitch_um", 1e-3, +1);
     add("grid_solve", "pad_pitch_um", edge + 1e-3, -1);
     add("grid_solve", "pad_pitch_um", edge, 0);
-    add("grid_solve", "pad_pitch_um", edge - 1e-3, +1);
+    add("grid_solve", "pad_pitch_um", edge - 1e-3, 2);
+    expects.back().field = "max_drop";
 
     std::istringstream in(input);
     std::ostringstream out;
@@ -543,12 +561,56 @@ TEST(RunServer, PhysicalRangesRejectJustOutsideAndAnswerFiniteJustInside) {
             << lines[i];
       } else if (expects[i].where == 0) {
         EXPECT_NE(status, "invalid") << lines[i];
+      } else if (expects[i].where == 2) {
+        EXPECT_EQ(status, "error") << lines[i];
+        EXPECT_NE(lines[i].find(expects[i].field), std::string::npos)
+            << lines[i];
       } else {
         EXPECT_EQ(status, "ok") << lines[i];
         EXPECT_FALSE(hasNull(reply)) << lines[i];
       }
     }
   }
+}
+
+TEST(RunServer, NonFiniteOrOutOfModelAnswersAreErrorsNamingTheField) {
+  // Inputs inside every param bound where the model still has no finite
+  // or no small-drop answer: a 1e-300 wire width (0 x inf capacitances),
+  // zero activity (0/0 dynamic power), and a pad pitch whose mesh drop is
+  // kilovolts at 35 nm.
+  std::istringstream in(
+      R"({"id":"w","kind":"wire","params":{"width_multiple":1e-300}})"
+      "\n"
+      R"({"id":"p","kind":"design_point","params":{"activity":0}})"
+      "\n"
+      R"({"id":"g","kind":"design_grid","params":{"activity":0,)"
+      R"("vdd_steps":3,"vth_steps":3}})"
+      "\n"
+      R"({"id":"o","kind":"design_optimum","params":{"activity":0,)"
+      R"("vdd_steps":3,"vth_steps":3}})"
+      "\n"
+      R"({"id":"d","kind":"grid_solve","params":{"pad_pitch_um":18000}})"
+      "\n"
+      R"({"id":"f","kind":"figure34","params":{"activity":0,"points":3}})"
+      "\n");
+  std::ostringstream out;
+  Service service(replayOptions());
+  (void)runServer(in, out, service);
+  const std::vector<std::string> lines = splitLines(out.str());
+  ASSERT_EQ(lines.size(), 6u);
+  const char* named[] = {"coupling_cap_ff_per_mm", "pdyn_norm",
+                         "points[0].pdyn_norm", "pdyn_norm",
+                         "max_drop_fraction"};
+  for (std::size_t i = 0; i < 5; ++i) {
+    const JsonValue reply = parseJson(lines[i]);
+    EXPECT_EQ(reply.find("status")->asString(), "error") << lines[i];
+    EXPECT_NE(reply.find("error")->asString().find(named[i]),
+              std::string::npos)
+        << lines[i];
+  }
+  // figure34 answers zero activity finitely, so it stays ok.
+  EXPECT_NE(lines[5].find(R"("status":"ok")"), std::string::npos) << lines[5];
+  EXPECT_FALSE(hasNull(parseJson(lines[5]))) << lines[5];
 }
 
 TEST(RunServer, DeterministicErrorsAreStructuredNotFatal) {
