@@ -627,6 +627,32 @@ BENCHMARK(BM_PipelinedLogic)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
+// One `sta` request of Arg(0) gates at node 50 with 8 blocks through
+// svc::evaluate, as nanod serves a miss: library, generation, timing
+// mirror, sweep and reply. It goes through the request layer, so builds
+// with other engine entry points run the same row. Items = gates/s.
+void BM_StaRequest(benchmark::State& state) {
+  const std::string line =
+      R"({"kind":"sta","params":{"node_nm":50,"gates":)" +
+      std::to_string(state.range(0)) + R"(,"blocks":8}})";
+  svc::Request request;
+  std::string error;
+  if (!svc::parseRequest(line, request, error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  if (svc::evaluate(request).status != svc::ResponseStatus::Ok) {
+    state.SkipWithError("sta did not answer ok");
+    return;
+  }
+  for (auto _ : state) {
+    const svc::Outcome outcome = svc::evaluate(request);
+    benchmark::DoNotOptimize(outcome.data.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StaRequest)->Arg(1000)->Arg(4000);
+
 void BM_TransientSim(benchmark::State& state) {
   const auto& node = tech::nodeByFeature(100);
   const double vth = device::solveVthForIon(node, node.ionTarget);

@@ -1,8 +1,11 @@
 #include "circuit/generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 namespace nano::circuit {
 
@@ -16,6 +19,176 @@ CellFunction pickFunction(util::Rng& rng) {
   if (r < 0.85) return CellFunction::Nand3;
   if (r < 0.93) return CellFunction::Nor3;
   return CellFunction::Xor2;
+}
+
+void checkConfig(const GeneratorConfig& config) {
+  if (config.inputs < 1 || config.gates < config.depth || config.depth < 1) {
+    throw std::invalid_argument("randomLogic: bad config");
+  }
+}
+
+/// An empty netlist with the wire and output loads of `library`'s node.
+/// The generators make it before drawing, so a library without an
+/// inverter fails before the RNG moves.
+Netlist emptyNetlist(const Library& library) {
+  return Netlist(defaultWireCapPerFanout(library.characterizer().node()),
+                 4.0 * library.smallestInverterInputCap());
+}
+
+/// Every block of one generator call, drawn before any Netlist exists.
+/// Per node: its cell (null for a primary input), its fanins as a slice
+/// of one flat array, and how many gates consume it. Then the outputs in
+/// marking order. build() replays it through the Netlist mutators.
+struct Draft {
+  std::vector<const Cell*> cell;
+  std::vector<int> faninOffset{0};  ///< node i: fanins[off[i] .. off[i+1])
+  std::vector<int> fanins;
+  std::vector<int> fanoutCount;
+  std::vector<std::uint8_t> isOutput;
+  std::vector<int> outputs;
+  /// library.pick(fn, 1.0) per function, resolved on its first draw.
+  std::array<const Cell*,
+             static_cast<std::size_t>(CellFunction::LevelConverter) + 1>
+      cellOf{};
+
+  explicit Draft(const GeneratorConfig& config) {
+    const auto gates = static_cast<std::size_t>(std::max(0, config.gates));
+    const auto nodes =
+        static_cast<std::size_t>(std::max(0, config.inputs)) + gates;
+    cell.reserve(nodes);
+    faninOffset.reserve(nodes + 1);
+    fanoutCount.reserve(nodes);
+    isOutput.reserve(nodes);
+    fanins.reserve(3 * gates);  // no cell has more than three inputs
+  }
+
+  [[nodiscard]] int nodeCount() const { return static_cast<int>(cell.size()); }
+  [[nodiscard]] bool consumed(int id) const {
+    return fanoutCount[static_cast<std::size_t>(id)] != 0;
+  }
+
+  void addNode(const Cell* c) {
+    cell.push_back(c);
+    faninOffset.push_back(static_cast<int>(fanins.size()));
+    fanoutCount.push_back(0);
+    isOutput.push_back(0);
+  }
+
+  void markOutput(int id) {
+    if (isOutput[static_cast<std::size_t>(id)] == 0) {
+      isOutput[static_cast<std::size_t>(id)] = 1;
+      outputs.push_back(id);
+    }
+  }
+};
+
+/// Draw one randomLogic block of `config` (already checked) onto the end
+/// of `draft`, in the RNG order of a block built as its own Netlist.
+void drawBlock(Draft& draft, const Library& library,
+               const GeneratorConfig& config, util::Rng& rng) {
+  const int depth = config.depth;
+  // Level assignment: one gate per level first (so the target depth is
+  // realized), the rest drawn with a shallow-biased distribution. Gates
+  // are laid out by ascending level, so level l holds the ids
+  // [levelStart[l], levelStart[l + 1]) and level 0 holds the inputs.
+  std::vector<int> levelStart(static_cast<std::size_t>(depth) + 2, 0);
+  levelStart[1] = config.inputs;
+  for (int g = 0; g < config.gates; ++g) {
+    int level = g + 1;
+    if (g >= depth) {
+      // Inverse-CDF draw from weight(l) ~ (1 - (l-1)/depth)^(bias-1).
+      const double u = rng.uniform();
+      const double x = 1.0 - std::pow(1.0 - u, 1.0 / config.shallowBias);
+      level = std::clamp(1 + static_cast<int>(x * depth), 1, depth);
+    }
+    ++levelStart[static_cast<std::size_t>(level) + 1];
+  }
+  levelStart[0] = draft.nodeCount();
+  for (std::size_t l = 1; l < levelStart.size(); ++l) {
+    levelStart[l] += levelStart[l - 1];
+  }
+
+  // Prefer nodes that nothing consumes yet, so little logic dangles and
+  // the fanout distribution stays realistic.
+  auto pickFrom = [&](int level) {
+    const int first = levelStart[static_cast<std::size_t>(level)];
+    const int last = levelStart[static_cast<std::size_t>(level) + 1] - 1;
+    int choice = first + rng.uniformInt(0, last - first);
+    for (int attempt = 0; attempt < 3 && draft.consumed(choice); ++attempt) {
+      choice = first + rng.uniformInt(0, last - first);
+    }
+    return choice;
+  };
+
+  for (int i = 0; i < config.inputs; ++i) draft.addNode(nullptr);
+  for (int level = 1; level <= depth; ++level) {
+    const int levelEnd = levelStart[static_cast<std::size_t>(level) + 1];
+    while (draft.nodeCount() < levelEnd) {
+      const CellFunction fn = pickFunction(rng);
+      const Cell*& cell = draft.cellOf[static_cast<std::size_t>(fn)];
+      if (cell == nullptr) cell = &library.pick(fn, 1.0);
+      const std::size_t firstFanin = draft.fanins.size();
+      // First fanin from the previous level to realize the depth;
+      // remaining fanins from any shallower level.
+      draft.fanins.push_back(pickFrom(level - 1));
+      for (int k = 1; k < faninOf(fn); ++k) {
+        const int srcLevel = rng.uniformInt(0, level - 1);
+        draft.fanins.push_back(pickFrom(srcLevel));
+      }
+      // The gate consumes its fanins once all are drawn, as addGate does.
+      for (std::size_t e = firstFanin; e < draft.fanins.size(); ++e) {
+        ++draft.fanoutCount[static_cast<std::size_t>(draft.fanins[e])];
+      }
+      draft.addNode(cell);
+    }
+  }
+
+  // Outputs: a share tapped anywhere (short, slack-rich paths), the rest
+  // from the deepest levels (critical endpoints). Dangling gates become
+  // outputs too so no logic is dead. Counts are this block's own.
+  const int firstGate = levelStart[1];
+  const std::size_t outputsBefore = draft.outputs.size();
+  auto full = [&] {
+    return static_cast<int>(draft.outputs.size() - outputsBefore) >=
+           config.outputs;
+  };
+  const int early = static_cast<int>(config.earlyOutputFraction * config.outputs);
+  for (int i = 0; i < early; ++i) {
+    draft.markOutput(firstGate + rng.uniformInt(0, config.gates - 1));
+  }
+  for (int level = depth; level >= 1; --level) {
+    const int levelEnd = levelStart[static_cast<std::size_t>(level) + 1];
+    for (int id = levelStart[static_cast<std::size_t>(level)]; id < levelEnd;
+         ++id) {
+      if (full()) break;
+      draft.markOutput(id);
+    }
+    if (full()) break;
+  }
+  for (int id = firstGate; id < draft.nodeCount(); ++id) {
+    if (!draft.consumed(id)) draft.markOutput(id);
+  }
+}
+
+/// Build `draft` into the empty `nl`: nodes in draft order, each fanout
+/// list sized once, then the outputs in marking order.
+Netlist build(const Draft& draft, Netlist nl) {
+  nl.reserve(draft.nodeCount());
+  for (int i = 0; i < draft.nodeCount(); ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    if (draft.cell[u] == nullptr) {
+      nl.addInput();
+    } else {
+      const auto fanins = draft.fanins.begin();
+      nl.addGate(*draft.cell[u],
+                 std::vector<int>(fanins + draft.faninOffset[u],
+                                  fanins + draft.faninOffset[u + 1]));
+    }
+    nl.reserveFanouts(i, draft.fanoutCount[u]);
+  }
+  for (int id : draft.outputs) nl.markOutput(id);
+  nl.validate();
+  return nl;
 }
 
 }  // namespace
@@ -35,94 +208,18 @@ GeneratorConfig scaledConfig(int gates) {
 
 Netlist randomLogic(const Library& library, const GeneratorConfig& config,
                     util::Rng& rng) {
-  if (config.inputs < 1 || config.gates < config.depth || config.depth < 1) {
-    throw std::invalid_argument("randomLogic: bad config");
-  }
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
-  nl.reserve(config.inputs + config.gates);
-
-  std::vector<std::vector<int>> byLevel(static_cast<std::size_t>(config.depth) + 1);
-  for (int i = 0; i < config.inputs; ++i) byLevel[0].push_back(nl.addInput());
-
-  // Level assignment: one gate per level first (so the target depth is
-  // realized), the rest drawn with a shallow-biased distribution.
-  std::vector<int> levelOf(static_cast<std::size_t>(config.gates));
-  for (int g = 0; g < config.gates; ++g) {
-    if (g < config.depth) {
-      levelOf[static_cast<std::size_t>(g)] = g + 1;
-    } else {
-      // Inverse-CDF draw from weight(l) ~ (1 - (l-1)/depth)^(bias-1).
-      const double u = rng.uniform();
-      const double x = 1.0 - std::pow(1.0 - u, 1.0 / config.shallowBias);
-      int level = 1 + static_cast<int>(x * config.depth);
-      levelOf[static_cast<std::size_t>(g)] = std::clamp(level, 1, config.depth);
-    }
-  }
-  std::sort(levelOf.begin(), levelOf.end());
-
-  // Prefer nodes that nothing consumes yet, so little logic dangles and
-  // the fanout distribution stays realistic.
-  auto pickFrom = [&](const std::vector<int>& pool) {
-    int choice = pool[static_cast<std::size_t>(
-        rng.uniformInt(0, static_cast<int>(pool.size()) - 1))];
-    for (int attempt = 0; attempt < 3 && !nl.node(choice).fanouts.empty();
-         ++attempt) {
-      choice = pool[static_cast<std::size_t>(
-          rng.uniformInt(0, static_cast<int>(pool.size()) - 1))];
-    }
-    return choice;
-  };
-
-  for (int g = 0; g < config.gates; ++g) {
-    const int level = levelOf[static_cast<std::size_t>(g)];
-    const CellFunction fn = pickFunction(rng);
-    const Cell& cell = library.pick(fn, 1.0);
-    std::vector<int> fanins;
-    // First fanin from the previous level to realize the depth; remaining
-    // fanins from any shallower level.
-    fanins.push_back(pickFrom(byLevel[static_cast<std::size_t>(level - 1)]));
-    for (int k = 1; k < faninOf(fn); ++k) {
-      const int srcLevel = rng.uniformInt(0, level - 1);
-      fanins.push_back(pickFrom(byLevel[static_cast<std::size_t>(srcLevel)]));
-    }
-    const int id = nl.addGate(cell, std::move(fanins));
-    byLevel[static_cast<std::size_t>(level)].push_back(id);
-  }
-
-  // Outputs: a share tapped anywhere (short, slack-rich paths), the rest
-  // from the deepest levels (critical endpoints). Dangling gates become
-  // outputs too so no logic is dead.
-  const auto gates = nl.gateIds();
-  const int early = static_cast<int>(config.earlyOutputFraction * config.outputs);
-  for (int i = 0; i < early; ++i) {
-    nl.markOutput(gates[static_cast<std::size_t>(
-        rng.uniformInt(0, static_cast<int>(gates.size()) - 1))]);
-  }
-  for (int level = config.depth; level >= 1; --level) {
-    const auto& pool = byLevel[static_cast<std::size_t>(level)];
-    for (int id : pool) {
-      if (static_cast<int>(nl.outputs().size()) >= config.outputs) break;
-      nl.markOutput(id);
-    }
-    if (static_cast<int>(nl.outputs().size()) >= config.outputs) break;
-  }
-  for (int id : gates) {
-    if (nl.node(id).fanouts.empty()) nl.markOutput(id);
-  }
-  nl.validate();
-  return nl;
+  checkConfig(config);
+  Netlist nl = emptyNetlist(library);
+  Draft draft(config);
+  drawBlock(draft, library, config, rng);
+  return build(draft, std::move(nl));
 }
 
 Netlist pipelinedLogic(const Library& library, const GeneratorConfig& config,
                        util::Rng& rng, int blocks) {
   if (blocks < 1) throw std::invalid_argument("pipelinedLogic: blocks < 1");
-  const auto& node = library.characterizer().node();
-  Netlist out(defaultWireCapPerFanout(node),
-              4.0 * library.smallestInverterInputCap());
-  out.reserve(config.inputs + config.gates);
-
+  Netlist out = emptyNetlist(library);
+  Draft draft(config);
   const int minDepth = std::max(2, config.depth / 4);
   for (int b = 0; b < blocks; ++b) {
     GeneratorConfig sub = config;
@@ -132,36 +229,15 @@ Netlist pipelinedLogic(const Library& library, const GeneratorConfig& config,
     sub.gates = std::max(sub.depth + 4, config.gates / blocks);
     sub.inputs = std::max(4, config.inputs / blocks);
     sub.outputs = std::max(2, config.outputs / blocks);
-    const Netlist block = randomLogic(library, sub, rng);
-
-    // Splice the block into the union netlist.
-    std::vector<int> map(static_cast<std::size_t>(block.nodeCount()), -1);
-    for (int i = 0; i < block.nodeCount(); ++i) {
-      const auto& n = block.node(i);
-      if (n.kind == Netlist::NodeKind::PrimaryInput) {
-        map[static_cast<std::size_t>(i)] = out.addInput();
-      } else {
-        std::vector<int> fanins;
-        fanins.reserve(n.fanins.size());
-        for (int f : n.fanins) {
-          fanins.push_back(map[static_cast<std::size_t>(f)]);
-        }
-        map[static_cast<std::size_t>(i)] = out.addGate(n.cell, std::move(fanins));
-      }
-    }
-    for (int o : block.outputs()) {
-      out.markOutput(map[static_cast<std::size_t>(o)]);
-    }
+    checkConfig(sub);
+    drawBlock(draft, library, sub, rng);
   }
-  out.validate();
-  return out;
+  return build(draft, std::move(out));
 }
 
 Netlist rippleCarryAdder(const Library& library, int bits) {
   if (bits < 1) throw std::invalid_argument("rippleCarryAdder: bits < 1");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  Netlist nl = emptyNetlist(library);
   const Cell& nand = library.pick(CellFunction::Nand2, 1.0);
 
   std::vector<int> a(static_cast<std::size_t>(bits));
@@ -193,9 +269,7 @@ Netlist rippleCarryAdder(const Library& library, int bits) {
 
 Netlist koggeStoneAdder(const Library& library, int bits) {
   if (bits < 1) throw std::invalid_argument("koggeStoneAdder: bits < 1");
-  const auto& node = library.characterizer().node();
-  Netlist nl(defaultWireCapPerFanout(node),
-             4.0 * library.smallestInverterInputCap());
+  Netlist nl = emptyNetlist(library);
   const Cell& nand = library.pick(CellFunction::Nand2, 1.0);
   const Cell& inv = library.pick(CellFunction::Inv, 1.0);
   const Cell& xorc = library.pick(CellFunction::Xor2, 1.0);

@@ -96,4 +96,15 @@ double Library::smallestInverterInputCap() const {
   return best;
 }
 
+const Library& roadmapLibrary(int featureNm) {
+  const tech::TechNode& node = tech::nodeByFeature(featureNm);
+  static const std::vector<Library> kByNode = [] {
+    std::vector<Library> libraries;
+    libraries.reserve(tech::roadmap().size());
+    for (const tech::TechNode& n : tech::roadmap()) libraries.emplace_back(n);
+    return libraries;
+  }();
+  return kByNode[static_cast<std::size_t>(&node - tech::roadmap().data())];
+}
+
 }  // namespace nano::circuit

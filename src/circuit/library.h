@@ -69,4 +69,10 @@ class Library {
   std::vector<std::vector<std::uint32_t>> cornerCells_;
 };
 
+/// The default library (LibraryConfig{}, 300 K) of the roadmap node of
+/// feature size `featureNm`. One entry per roadmap node, all built on
+/// first use and never written after, so concurrent callers share them
+/// without a lock. Throws std::out_of_range off the roadmap.
+const Library& roadmapLibrary(int featureNm);
+
 }  // namespace nano::circuit

@@ -19,6 +19,12 @@ void Netlist::reserve(int nodes) {
   fanoutCap_.reserve(static_cast<std::size_t>(nodes));
 }
 
+void Netlist::reserveFanouts(int id, int fanouts) {
+  if (fanouts <= 0) return;
+  nodes_.at(static_cast<std::size_t>(id)).fanouts.reserve(
+      static_cast<std::size_t>(fanouts));
+}
+
 int Netlist::addInput() {
   Node n;
   n.kind = NodeKind::PrimaryInput;

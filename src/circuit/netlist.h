@@ -33,6 +33,10 @@ class Netlist {
   /// Pre-size the node storage (generators building million-gate netlists
   /// call this to avoid repeated vector regrowth).
   void reserve(int nodes);
+  /// Pre-size the fanout list of node `id` for `fanouts` consumers (a
+  /// generator that drew the whole netlist first knows each final count).
+  /// A capacity hint only: no value changes.
+  void reserveFanouts(int id, int fanouts);
 
   int addInput();
   /// Adds a gate; `fanins` must reference existing nodes and match the

@@ -1,8 +1,8 @@
 #include "circuit/netlist_soa.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 #include "obs/obs.h"
 
@@ -69,37 +69,41 @@ void NetlistSoA::rebuild(const Netlist& netlist, BuildOptions options) {
 
   // Pass 2: adjacency in object edge order (the STA sweeps iterate these
   // in the same order the object engine iterated the Node vectors, which
-  // is what keeps the refactor bit-identical).
+  // is what keeps the refactor bit-identical), and each node's level: 0
+  // without fanins, else one past its deepest fanin. A Netlist only adds
+  // gates over earlier ids, so every fanin's level is final by then.
   std::uint32_t fi = 0;
   std::uint32_t fo = 0;
+  std::uint32_t maxLevel = 0;
   for (std::uint32_t i = 0; i < nodeCount_; ++i) {
     const Netlist::Node& node = netlist.node(static_cast<int>(i));
-    for (int f : node.fanins) faninIdx_[fi++] = static_cast<std::uint32_t>(f);
+    std::uint32_t level = 0;
+    for (int f : node.fanins) {
+      faninIdx_[fi++] = static_cast<std::uint32_t>(f);
+      level = std::max(level, levelOf_[f] + 1);
+    }
+    levelOf_[i] = level;
+    maxLevel = std::max(maxLevel, level);
     for (int c : node.fanouts) fanoutIdx_[fo++] = static_cast<std::uint32_t>(c);
   }
   for (std::uint32_t k = 0; k < outputCount_; ++k) {
     outputs_[k] = static_cast<std::uint32_t>(netlist.outputs()[k]);
   }
 
-  // Level schedule. A Netlist is a DAG by construction (fanins reference
-  // earlier ids only), so levelize can only fail on internal corruption.
-  LevelSchedule schedule =
-      levelize(nodeCount_, {faninOff_, static_cast<std::size_t>(nodeCount_) + 1},
-               {faninIdx_, static_cast<std::size_t>(faninEdges)});
-  if (!schedule.ok()) {
-    throw std::logic_error(std::string("NetlistSoA: levelize failed: ") +
-                           schedule.message);
-  }
-  levelCount_ = schedule.levelCount;
-  levelOffsets_ = arena_.allocateArray<std::uint32_t>(
+  // Level schedule: a counting sort by level. Filling each bucket from its
+  // end with descending ids leaves it ascending, which the STA sweeps rely
+  // on for determinism, and leaves levelOffsets_[L] at level L's start.
+  levelCount_ = nodeCount_ == 0 ? 0 : maxLevel + 1;
+  levelOffsets_ = arena_.allocateZeroedArray<std::uint32_t>(
       static_cast<std::size_t>(levelCount_) + 1);
   order_ = arena_.allocateArray<std::uint32_t>(nodeCount_);
-  for (std::uint32_t i = 0; i < nodeCount_; ++i) {
-    levelOf_[i] = schedule.levelOf[i];
-    order_[i] = schedule.order[i];
+  for (std::uint32_t i = 0; i < nodeCount_; ++i) ++levelOffsets_[levelOf_[i]];
+  for (std::uint32_t l = 1; l < levelCount_; ++l) {
+    levelOffsets_[l] += levelOffsets_[l - 1];
   }
-  for (std::uint32_t l = 0; l <= levelCount_; ++l) {
-    levelOffsets_[l] = schedule.levelOffsets[l];
+  levelOffsets_[levelCount_] = nodeCount_;
+  for (std::uint32_t i = nodeCount_; i-- > 0;) {
+    order_[--levelOffsets_[levelOf_[i]]] = i;
   }
 
   cells_.clear();

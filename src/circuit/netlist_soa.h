@@ -9,7 +9,7 @@
 //   loadCap / driveRes /     the operands of circuit::rcDelay, copied from
 //     selfCap / inputCap       the cells and the netlist's load-cap cache
 //   outputs                  endpoint list, insertion order preserved
-//   level schedule           levelize() buckets for level-parallel sweeps
+//   level schedule           level buckets for level-parallel sweeps
 //
 // The mirror computes no load itself: rebuild() and setCell() copy every
 // operand from the object netlist, so its values are the netlist's own.
@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "circuit/levelize.h"
 #include "circuit/netlist.h"
 #include "util/arena.h"
 
@@ -85,8 +84,10 @@ class NetlistSoA {
                             : 0.0;
   }
 
-  // Level schedule (levelize() over the fanin CSR): nodes of level L are
-  // order()[levelOffsets()[L] .. levelOffsets()[L+1]), ascending id.
+  // Level schedule, from one ascending pass over the fanin CSR (a node
+  // with no fanins is at level 0, any other one past its deepest fanin):
+  // nodes of level L are order()[levelOffsets()[L] .. levelOffsets()[L+1]),
+  // ascending id.
   [[nodiscard]] std::uint32_t levelCount() const { return levelCount_; }
   [[nodiscard]] std::uint32_t levelOf(std::uint32_t id) const {
     return levelOf_[id];

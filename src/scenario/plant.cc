@@ -88,7 +88,7 @@ Plant::Plant(const PlantConfig& config)
   // request kind, timed once at nominal to fix the clock period and the
   // slack profile.
   {
-    const circuit::Library library(*node_);
+    const circuit::Library& library = circuit::roadmapLibrary(config.nodeNm);
     util::Rng rng(static_cast<std::uint64_t>(config.seed));
     const circuit::GeneratorConfig cfg = circuit::scaledConfig(config.gates);
     const circuit::Netlist netlist =

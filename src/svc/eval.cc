@@ -295,8 +295,7 @@ JsonValue evalNodeSummary(const NodeSummaryParams& p) {
 }
 
 JsonValue evalSta(const StaParams& p) {
-  const tech::TechNode& node = tech::nodeByFeature(p.nodeNm);
-  const circuit::Library library(node);
+  const circuit::Library& library = circuit::roadmapLibrary(p.nodeNm);
   util::Rng rng(static_cast<std::uint64_t>(p.seed));
   const circuit::GeneratorConfig cfg = circuit::scaledConfig(p.gates);
   const circuit::Netlist netlist =

@@ -1,7 +1,8 @@
 // Property tests for the NetlistSoA mirror: seeded random netlists at
 // 100 / 1k / 10k / 100k gates round-trip object -> SoA -> object with
-// byte-identical netlist_io serialization, and the flat adjacency +
-// timing-operand arrays agree with the object netlist exactly.
+// byte-identical netlist_io serialization, the flat adjacency +
+// timing-operand arrays agree with the object netlist exactly, and the
+// one-pass level schedule equals the Kahn levelizer's (support/levelize.h).
 #include "circuit/netlist_soa.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include "circuit/library.h"
 #include "circuit/netlist.h"
 #include "circuit/netlist_io.h"
+#include "opt/level_converter.h"
+#include "support/levelize.h"
 #include "tech/itrs.h"
 #include "util/rng.h"
 
@@ -36,6 +39,33 @@ std::string serialize(const Netlist& nl) {
   std::ostringstream os;
   writeNetlist(os, nl);
   return os.str();
+}
+
+// The mirror's level schedule against levelize() over the netlist's own
+// fanin lists: levelOf, order, levelOffsets and levelCount all equal.
+void expectScheduleMatchesLevelize(const Netlist& nl) {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint32_t> fanins;
+  for (int id = 0; id < nl.nodeCount(); ++id) {
+    for (int f : nl.node(id).fanins) {
+      fanins.push_back(static_cast<std::uint32_t>(f));
+    }
+    offsets.push_back(static_cast<std::uint32_t>(fanins.size()));
+  }
+  const LevelSchedule want =
+      levelize(static_cast<std::uint32_t>(nl.nodeCount()), offsets, fanins);
+  ASSERT_TRUE(want.ok()) << want.message;
+  const NetlistSoA soa(nl, {.keepCells = false});
+  ASSERT_EQ(soa.levelCount(), want.levelCount);
+  for (std::uint32_t id = 0; id < soa.nodeCount(); ++id) {
+    ASSERT_EQ(soa.levelOf(id), want.levelOf[id]) << "node " << id;
+  }
+  const auto order = soa.order();
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), want.order.begin(),
+                         want.order.end()));
+  const auto offsetsGot = soa.levelOffsets();
+  EXPECT_TRUE(std::equal(offsetsGot.begin(), offsetsGot.end(),
+                         want.levelOffsets.begin(), want.levelOffsets.end()));
 }
 
 class SoaPropertyTest : public ::testing::TestWithParam<int> {};
@@ -113,6 +143,10 @@ TEST_P(SoaPropertyTest, LevelScheduleCoversAndRespectsTopology) {
   }
 }
 
+TEST_P(SoaPropertyTest, LevelScheduleEqualsLevelize) {
+  expectScheduleMatchesLevelize(makeRandom(GetParam(), 13u * GetParam() + 2));
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, SoaPropertyTest,
                          ::testing::Values(100, 1000, 10000, 100000));
 
@@ -165,6 +199,37 @@ TEST(NetlistSoATest, RebuildReusesArenaAtSteadyState) {
   ASSERT_GT(soa.arenaBytes(), 0u);
   for (int i = 0; i < 5; ++i) soa.rebuild(nl, {.keepCells = false});
   EXPECT_EQ(soa.arenaGrowthCount(), growth);
+}
+
+TEST(NetlistSoATest, LevelScheduleEqualsLevelizeOnStructuredNetlists) {
+  for (const int bits : {1, 8, 32}) {
+    SCOPED_TRACE(::testing::Message() << bits << "-bit adders");
+    expectScheduleMatchesLevelize(rippleCarryAdder(lib(), bits));
+    expectScheduleMatchesLevelize(koggeStoneAdder(lib(), bits));
+  }
+
+  // Converters on every crossing of a design with a third of its gates
+  // moved to the low supply.
+  Netlist mixed = makeRandom(1500, 23);
+  const auto gates = mixed.gateIds();
+  for (std::size_t k = 0; k < gates.size(); k += 3) {
+    mixed.replaceCell(gates[k], lib().recorner(mixed.node(gates[k]).cell,
+                                               VthClass::Low, VddDomain::Low));
+  }
+  const opt::ConversionReport converted =
+      opt::insertLevelConverters(mixed, lib());
+  ASSERT_GT(converted.convertersAdded, 0);
+  expectScheduleMatchesLevelize(converted.netlist);
+
+  // A gate that lists one fanin twice.
+  Netlist repeated;
+  const int in = repeated.addInput();
+  const Cell& nand = lib().pick(CellFunction::Nand2, 1.0);
+  const int a = repeated.addGate(nand, {in, in});
+  repeated.markOutput(repeated.addGate(nand, {a, a}));
+  expectScheduleMatchesLevelize(repeated);
+
+  expectScheduleMatchesLevelize(Netlist{});
 }
 
 TEST(NetlistSoATest, ToNetlistWithoutCellsThrows) {
